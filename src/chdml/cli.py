@@ -23,22 +23,24 @@ import sys
 from pathlib import Path
 
 from .errors import ChdmlError, ConfigError, DataError
-from .eval import SmoteMode, cross_validate, holdout_evaluate
-from .features import score_features, select_k_best
-from .ingest import class_balance, load_csv, missing_report, write_csv
+from .eval import SmoteMode
+from .ingest import write_csv
 from .pipeline import (
     ARM_ORIGINAL,
     ARM_SMOTE,
     PipelineConfig,
+    clean_stage,
+    evaluate_arm,
+    feature_stage,
     run_pipeline,
 )
-from .preprocess import (
-    drop_rows_missing,
-    feature_kinds,
-    impute_mean,
-    remove_outliers,
-    select_features,
-    to_dataset,
+
+# perfbench/spans.py wraps these stage functions by looking them up in this
+# module as well as in chdml.pipeline; they stay bound here until it stops.
+from .pipeline import (  # noqa: F401
+    class_balance, cross_validate, drop_rows_missing, feature_kinds, holdout_evaluate,
+    impute_mean, load_csv, missing_report, remove_outliers, score_features,
+    select_features, select_k_best, to_dataset,
 )
 
 EXIT_OK = 0
@@ -103,44 +105,29 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _clean(config: PipelineConfig):
-    schema = config.load_schema()
-    config.validate_columns(schema)
-    table = load_csv(config.resolve_input(), schema)
-    missing = missing_report(table)
-    balance_raw = class_balance(table)
-    dropped = drop_rows_missing(table, config.drop_columns)
-    imputed = impute_mean(dropped, config.impute_columns)
-    cleaned, outliers = remove_outliers(
-        imputed, config.outlier_method, config.outlier_columns
-    )
-    return table, cleaned, missing, balance_raw, outliers
-
-
 def _cmd_clean(config: PipelineConfig) -> int:
-    table, cleaned, missing, balance_raw, outliers = _clean(config)
+    cohort = clean_stage(config)
+    missing, outliers = cohort.missing, cohort.outliers
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(cleaned, str(out / "cleaned.csv"))
+    write_csv(cohort.table, str(out / "cleaned.csv"))
     (out / "missing_report.json").write_text(missing.to_json() + "\n", encoding="utf-8")
     (out / "outlier_report.json").write_text(outliers.to_json() + "\n", encoding="utf-8")
     (out / "class_balance.json").write_text(
         json.dumps(
-            {"raw": list(balance_raw), "clean": list(class_balance(cleaned))},
+            {"raw": list(cohort.balance_raw), "clean": list(cohort.balance_clean)},
             indent=2,
         )
         + "\n",
         encoding="utf-8",
     )
-    print(f"cleaned rows: {cleaned.row_count} of {table.row_count}")
+    print(f"cleaned rows: {cohort.table.row_count} of {cohort.rows_loaded}")
     print(f"outliers removed ({outliers.method}): {outliers.total} flagged cells")
     return EXIT_OK
 
 
 def _cmd_score_features(config: PipelineConfig) -> int:
-    _, cleaned, *_ = _clean(config)
-    dataset = to_dataset(cleaned)
-    scores = score_features(dataset, bins=config.mi_bins, kinds=feature_kinds(cleaned))
+    _, scores, _ = feature_stage(config, clean_stage(config).table)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "feature_scores.txt").write_text(scores.as_text(), encoding="utf-8")
@@ -150,30 +137,18 @@ def _cmd_score_features(config: PipelineConfig) -> int:
 
 
 def _cmd_evaluate(config: PipelineConfig) -> int:
-    _, cleaned, *_ = _clean(config)
-    dataset = to_dataset(cleaned)
-    scores = score_features(dataset, bins=config.mi_bins, kinds=feature_kinds(cleaned))
-    k = config.select_k if config.select_k is not None else dataset.n_features
-    selection = select_k_best(scores, k)
-    if len(selection.selected) < dataset.n_features:
-        dataset = select_features(dataset, selection.selected)
+    dataset, _, _ = feature_stage(config, clean_stage(config).table)
     mode = config.smote_mode
     results = {}
-    for spec in config.algorithms:
-        summary = cross_validate(
-            spec, dataset, config.cv_k, config.seed, mode, config.smote
-        )
-        auc = holdout_evaluate(
-            spec, dataset, config.seed, mode, config.smote, config.test_fraction
-        )
-        results[spec.algorithm] = {
+    for key, summary in evaluate_arm(config, dataset, mode).items():
+        results[key] = {
             "cv_mean": summary.mean,
             "cv_std": summary.std,
-            "holdout_auc": auc,
+            "holdout_auc": summary.holdout_auc,
         }
         print(
-            f"{spec.algorithm:>4}  cv mean {summary.mean:.6f}  "
-            f"std {summary.std:.6f}  holdout {auc:.6f}"
+            f"{key:>4}  cv mean {summary.mean:.6f}  "
+            f"std {summary.std:.6f}  holdout {summary.holdout_auc:.6f}"
         )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

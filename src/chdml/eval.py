@@ -20,6 +20,7 @@ training side only.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 from . import models
 from .errors import ClassTooSmall, ConfigError, SingleClass
 from .models import ClassifierSpec
-from .preprocess import Dataset, take_rows
+from .preprocess import Dataset, standardize, take_rows
 from .resample import SmoteParams, smote
 from .rng import child_seed, generator
 
@@ -226,24 +227,6 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
 
-def _standardize_guarded(train: Dataset, other: Dataset) -> tuple[Dataset, Dataset]:
-    """Z-score both sides with train statistics; constant columns pass
-    through unscaled (divisor 1) rather than raising, since resampled
-    folds can legitimately contain a constant column."""
-    mu = train.features.mean(axis=0)
-    sigma = train.features.std(axis=0, ddof=1)
-    sigma = np.where(sigma > 0.0, sigma, 1.0)
-
-    def apply(ds: Dataset) -> Dataset:
-        return Dataset(
-            features=(ds.features - mu) / sigma,
-            labels=ds.labels,
-            feature_names=ds.feature_names,
-        )
-
-    return apply(train), apply(other)
-
-
 def _apply_smote_mode(
     dataset: Dataset, mode: SmoteMode, params: SmoteParams | None
 ) -> Dataset:
@@ -275,13 +258,7 @@ def iter_cv_splits(
         train = take_rows(data, train_idx)
         test = take_rows(data, test_idx)
         if mode is SmoteMode.LEAKAGE_FREE:
-            fold_params = SmoteParams(
-                k_neighbors=params.k_neighbors,
-                target_ratio=params.target_ratio,
-                seed=child_seed(params.seed, f),
-                round_nominal=params.round_nominal,
-                nominal_columns=params.nominal_columns,
-            )
+            fold_params = dataclasses.replace(params, seed=child_seed(params.seed, f))
             train = smote(train, fold_params)
         yield train, test
 
@@ -291,7 +268,10 @@ def _fit_and_score(
 ) -> tuple[float, float, bool]:
     """AUC, plain accuracy, and convergence of one fold."""
     if spec.algorithm in STANDARDIZED_ALGORITHMS:
-        train, test = _standardize_guarded(train, test)
+        train, test = (
+            standardize(train, train, keep_constant=True),
+            standardize(train, test, keep_constant=True),
+        )
     fold_spec = spec.replace(seed=child_seed(spec.seed, fold))
     model = models.fit(fold_spec, train)
     scores = models.score_many(model, test.features)
@@ -349,7 +329,10 @@ def holdout_evaluate(
     if mode is SmoteMode.LEAKAGE_FREE:
         train = smote(train, params)
     if spec.algorithm in STANDARDIZED_ALGORITHMS:
-        train, test = _standardize_guarded(train, test)
+        train, test = (
+            standardize(train, train, keep_constant=True),
+            standardize(train, test, keep_constant=True),
+        )
     model = models.fit(spec, train)
     return roc_auc(models.score_many(model, test.features), test.labels)
 

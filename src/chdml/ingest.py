@@ -19,7 +19,7 @@ import enum
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -370,10 +370,3 @@ def class_balance(table: CohortTable) -> tuple[int, int]:
         raise NonBinaryTarget("target column contains values other than 0/1")
     ones = int((target == 1.0).sum())
     return table.row_count - ones, ones
-
-
-def iter_rows(table: CohortTable) -> Iterable[tuple[float, ...]]:
-    """Yield rows as tuples in schema order (NaN marks missing)."""
-    vectors = [table.columns[n] for n in table.schema.names]
-    for i in range(table.row_count):
-        yield tuple(float(v[i]) for v in vectors)

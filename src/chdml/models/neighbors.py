@@ -7,7 +7,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..preprocess import Dataset
+from ..preprocess import Dataset, sq_distance_chunks
 from .base import ClassifierSpec, check_matrix, check_train
 
 __all__ = ["KnnModel", "fit"]
@@ -27,21 +27,16 @@ class KnnModel:
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Positive fraction among the k nearest training rows.
 
-        Distances are squared Euclidean computed from literal coordinate
-        differences; exact ties resolve to the lower training-row index
-        (stable sort).  Queries are processed in chunks to bound memory.
+        Distances are squared Euclidean (:func:`sq_distance_chunks`); exact
+        ties resolve to the lower training-row index (stable sort).  Queries
+        go chunk by chunk to bound memory.
         """
         X = check_matrix(X, self.n_features)
-        train = self.train_features
-        k = min(self.k, train.shape[0])
+        k = min(self.k, self.train_features.shape[0])
         out = np.empty(X.shape[0], dtype=np.float64)
-        chunk = max(1, 8_000_000 // max(1, train.shape[0] * train.shape[1]))
-        for start in range(0, X.shape[0], chunk):
-            stop = min(start + chunk, X.shape[0])
-            diff = X[start:stop, None, :] - train[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for rows, d2 in sq_distance_chunks(X, self.train_features):
             order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[start:stop] = self.train_labels[order].mean(axis=1)
+            out[rows] = self.train_labels[order].mean(axis=1)
         return out
 
     def parameters_doc(self) -> dict[str, Any]:

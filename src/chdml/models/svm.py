@@ -26,7 +26,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..preprocess import Dataset
+from ..preprocess import Dataset, sq_distance_chunks
 from .base import ClassifierSpec, check_matrix, check_train
 
 __all__ = ["SvmModel", "fit", "rbf_kernel"]
@@ -39,12 +39,8 @@ _CACHE_BYTES = 64_000_000
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * squared distance) for every row pair, chunked."""
     out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    chunk = max(1, 4_000_000 // max(1, B.shape[0] * B.shape[1]))
-    for start in range(0, A.shape[0], chunk):
-        stop = min(start + chunk, A.shape[0])
-        diff = A[start:stop, None, :] - B[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[start:stop] = np.exp(-gamma * d2)
+    for rows, d2 in sq_distance_chunks(A, B):
+        out[rows] = np.exp(-gamma * d2)
     return out
 
 
@@ -60,8 +56,7 @@ class _RowCache:
     def get(self, i: int) -> np.ndarray:
         row = self.rows.get(i)
         if row is None:
-            diff = self.X - self.X[i]
-            row = np.exp(-self.gamma * np.einsum("ij,ij->i", diff, diff))
+            row = rbf_kernel(self.X[i : i + 1], self.X, self.gamma)[0]
             if len(self.rows) >= self.capacity:
                 self.rows.popitem(last=False)
             self.rows[i] = row

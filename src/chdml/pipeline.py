@@ -1,15 +1,23 @@
 """Configuration-driven end-to-end runner.
 
-Stages: ingest -> clean (drop rows / impute / remove outliers) -> feature
-scoring and selection -> two evaluation arms (as-is and oversampled) ->
-report files.  Re-running with an identical config produces byte-identical
-report files; every number in them is a pure function of (config, input
-file).  Wall-clock timings go to the log only, never into the report, so
-that guarantee holds.
+:func:`run_pipeline` calls the stages in order, and the CLI subcommands
+call the same functions:
+
+1. :func:`clean_stage` -- ingest, drop rows, impute, remove outliers;
+2. :func:`feature_stage` -- mutual-information scoring and selection;
+3. :func:`evaluate_arm` -- CV and hold-out per algorithm, once per arm
+   (as-is and oversampled);
+4. :func:`emit_tables` -- the report files.
+
+Re-running with an identical config produces byte-identical report files;
+every number in them is a pure function of (config, input file).
+Wall-clock timings go to the log only, never into the report, so that
+guarantee holds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -35,6 +43,7 @@ from .ingest import (
 )
 from .models import ClassifierSpec
 from .preprocess import (
+    Dataset,
     OutlierReport,
     column_stats,
     drop_rows_missing,
@@ -135,9 +144,14 @@ class PipelineConfig:
             raise ConfigError(f"bad smote settings: {exc}") from None
 
         specs = []
-        for entry in merged["algorithms"]:
+        for position, entry in enumerate(merged["algorithms"]):
             if isinstance(entry, str):
                 specs.append(ClassifierSpec(algorithm=entry, seed=merged["seed"]))
+            elif not isinstance(entry, Mapping) or "algorithm" not in entry:
+                raise ConfigError(
+                    f"algorithms[{position}] must be a name or an object with an "
+                    f"'algorithm' key, not {entry!r}"
+                )
             else:
                 specs.append(
                     ClassifierSpec(
@@ -316,6 +330,77 @@ def _algo_key(spec: ClassifierSpec, seen: dict[str, int]) -> str:
     return spec.algorithm if count == 0 else f"{spec.algorithm}#{count + 1}"
 
 
+@dataclass(frozen=True)
+class CleanedCohort:
+    """What :func:`clean_stage` produced: the cleaned table and its reports."""
+
+    table: CohortTable
+    rows_loaded: int
+    rows_after_drop: int
+    missing: MissingReport
+    outliers: OutlierReport
+    balance_raw: tuple[int, int]
+    balance_clean: tuple[int, int]
+
+
+def clean_stage(config: PipelineConfig) -> CleanedCohort:
+    """Load the input, then drop rows, impute and remove outliers."""
+    schema = config.load_schema()
+    config.validate_columns(schema)
+    table = load_csv(config.resolve_input(), schema)
+    missing = missing_report(table)
+    balance_raw = class_balance(table)
+    dropped = drop_rows_missing(table, config.drop_columns)
+    imputed = impute_mean(dropped, config.impute_columns)
+    cleaned, outliers = remove_outliers(
+        imputed, config.outlier_method, config.outlier_columns
+    )
+    return CleanedCohort(
+        table=cleaned,
+        rows_loaded=table.row_count,
+        rows_after_drop=dropped.row_count,
+        missing=missing,
+        outliers=outliers,
+        balance_raw=balance_raw,
+        balance_clean=class_balance(cleaned),
+    )
+
+
+def feature_stage(
+    config: PipelineConfig, cleaned: CohortTable
+) -> tuple[Dataset, FeatureScores, SelectionResult]:
+    """Score every predictor; return the dataset cut to the ``select_k``
+    best, all scores, and the selection."""
+    dataset = to_dataset(cleaned)
+    scores = score_features(dataset, bins=config.mi_bins, kinds=feature_kinds(cleaned))
+    k = config.select_k if config.select_k is not None else dataset.n_features
+    selection = select_k_best(scores, k)
+    if len(selection.selected) < dataset.n_features:
+        dataset = select_features(dataset, selection.selected)
+    return dataset, scores, selection
+
+
+def evaluate_arm(
+    config: PipelineConfig, dataset: Dataset, mode: SmoteMode
+) -> dict[str, EvalSummary]:
+    """Cross-validate and hold-out test every configured algorithm, keyed
+    as in ``report.json`` (``CART#2`` for a repeat); each summary carries
+    its hold-out AUC."""
+    results: dict[str, EvalSummary] = {}
+    seen: dict[str, int] = {}
+    for spec in config.algorithms:
+        key = _algo_key(spec, seen)
+        summary = cross_validate(
+            spec, dataset, config.cv_k, config.seed, mode, config.smote
+        )
+        auc = holdout_evaluate(
+            spec, dataset, config.seed, mode, config.smote, config.test_fraction
+        )
+        results[key] = dataclasses.replace(summary, holdout_auc=auc)
+        log.info("%s/%s: cv mean %.6f, holdout %.6f", mode.value, key, summary.mean, auc)
+    return results
+
+
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Execute every stage and write the report files to ``output_dir``."""
     timings: dict[str, float] = {}
@@ -325,30 +410,11 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         log.info("stage %-16s %.2fs", stage, timings[stage])
 
     t0 = time.perf_counter()
-    schema = config.load_schema()
-    config.validate_columns(schema)
-    table = load_csv(config.resolve_input(), schema)
-    missing = missing_report(table)
-    balance_raw = class_balance(table)
-    tick("ingest", t0)
-
-    t0 = time.perf_counter()
-    dropped = drop_rows_missing(table, config.drop_columns)
-    imputed = impute_mean(dropped, config.impute_columns)
-    cleaned, outlier_rep = remove_outliers(
-        imputed, config.outlier_method, config.outlier_columns
-    )
-    balance_clean = class_balance(cleaned)
+    cohort = clean_stage(config)
     tick("clean", t0)
 
     t0 = time.perf_counter()
-    dataset = to_dataset(cleaned)
-    kinds = feature_kinds(cleaned)
-    scores = score_features(dataset, bins=config.mi_bins, kinds=kinds)
-    k = config.select_k if config.select_k is not None else dataset.n_features
-    selection = select_k_best(scores, k)
-    if len(selection.selected) < dataset.n_features:
-        dataset = select_features(dataset, selection.selected)
+    dataset, scores, selection = feature_stage(config, cohort.table)
     tick("features", t0)
 
     smote_arm_mode = config.smote_mode
@@ -356,68 +422,37 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     if smote_arm_mode is not SmoteMode.NONE:
         balance_resampled = smote(dataset, config.smote).class_counts()
 
-    cv: dict[str, dict[str, EvalSummary]] = {ARM_ORIGINAL: {}, ARM_SMOTE: {}}
-    holdout: dict[str, dict[str, float]] = {ARM_ORIGINAL: {}, ARM_SMOTE: {}}
-    arms = [(ARM_ORIGINAL, SmoteMode.NONE)]
+    t0 = time.perf_counter()
+    cv = {ARM_ORIGINAL: evaluate_arm(config, dataset, SmoteMode.NONE)}
+    tick(f"evaluate[{ARM_ORIGINAL}]", t0)
     if smote_arm_mode is SmoteMode.NONE:
-        arms.append((ARM_SMOTE, None))  # reuse the original arm's numbers
+        cv[ARM_SMOTE] = dict(cv[ARM_ORIGINAL])  # reuse the original arm's numbers
     else:
-        arms.append((ARM_SMOTE, smote_arm_mode))
-
-    for arm, mode in arms:
         t0 = time.perf_counter()
-        if mode is None:
-            cv[arm] = dict(cv[ARM_ORIGINAL])
-            holdout[arm] = dict(holdout[ARM_ORIGINAL])
-            continue
-        seen: dict[str, int] = {}
-        for spec in config.algorithms:
-            key = _algo_key(spec, seen)
-            summary = cross_validate(
-                spec, dataset, config.cv_k, config.seed, mode, config.smote
-            )
-            auc = holdout_evaluate(
-                spec,
-                dataset,
-                config.seed,
-                mode,
-                config.smote,
-                test_fraction=config.test_fraction,
-            )
-            cv[arm][key] = EvalSummary(
-                spec=summary.spec,
-                mode=summary.mode,
-                fold_aucs=summary.fold_aucs,
-                mean=summary.mean,
-                std=summary.std,
-                fold_accuracies=summary.fold_accuracies,
-                fold_converged=summary.fold_converged,
-                holdout_auc=auc,
-            )
-            holdout[arm][key] = auc
-            log.info("%s/%s: cv mean %.6f, holdout %.6f", arm, key, summary.mean, auc)
-        tick(f"evaluate[{arm}]", t0)
-
-    boxplot = {
-        arm: {algo: _five_number(s.fold_aucs) for algo, s in by_algo.items()}
-        for arm, by_algo in cv.items()
-    }
+        cv[ARM_SMOTE] = evaluate_arm(config, dataset, smote_arm_mode)
+        tick(f"evaluate[{ARM_SMOTE}]", t0)
 
     report = RunReport(
         config=config.to_dict(),
-        missing=missing,
-        class_balance_raw=balance_raw,
-        rows_loaded=table.row_count,
-        rows_after_drop=dropped.row_count,
-        outliers=outlier_rep,
-        rows_after_outlier_removal=cleaned.row_count,
-        class_balance_clean=balance_clean,
+        missing=cohort.missing,
+        class_balance_raw=cohort.balance_raw,
+        rows_loaded=cohort.rows_loaded,
+        rows_after_drop=cohort.rows_after_drop,
+        outliers=cohort.outliers,
+        rows_after_outlier_removal=cohort.table.row_count,
+        class_balance_clean=cohort.balance_clean,
         class_balance_resampled=balance_resampled,
         feature_scores=scores,
         selection=selection,
         cv=cv,
-        holdout=holdout,
-        boxplot=boxplot,
+        holdout={
+            arm: {algo: s.holdout_auc for algo, s in by_algo.items()}
+            for arm, by_algo in cv.items()
+        },
+        boxplot={
+            arm: {algo: _five_number(s.fold_aucs) for algo, s in by_algo.items()}
+            for arm, by_algo in cv.items()
+        },
         timings=timings,
     )
     emit_tables(report, config.output_dir)

@@ -2,14 +2,15 @@
 
 Covers per-column summaries (quartiles, skewness), mean imputation,
 dropping rows with missing cells, two univariate outlier rules (IQR fence
-and three-sigma), Pearson correlation, and z-score standardization.
+and three-sigma), Pearson correlation, z-score standardization, and the
+squared-distance kernel shared by SMOTE, KNN and the SVM.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 OUTLIER_METHODS = ("IQR", "Sigma")
+
+#: Most values the difference block of one distance chunk holds; bounds memory.
+_DISTANCE_CHUNK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -285,25 +289,51 @@ def pearson_correlation(dataset: Dataset) -> np.ndarray:
     return corr
 
 
-def standardize(train: Dataset, apply_to: Dataset) -> Dataset:
+def standardize(
+    train: Dataset, apply_to: Dataset, *, keep_constant: bool = False
+) -> Dataset:
     """Z-score ``apply_to`` using mean and sample std taken from ``train``.
 
     The statistics always come from ``train`` only, so applying train
-    statistics to unseen data leaks nothing.  Raises
-    :class:`ZeroVarianceColumn` when a train column is constant.
+    statistics to unseen data leaks nothing.  A constant train column
+    raises :class:`ZeroVarianceColumn`, or with ``keep_constant`` is
+    centred and left unscaled (divisor 1), since resampled evaluation
+    folds can legitimately contain one.
     """
     if train.n_features != apply_to.n_features:
         raise DataError("train and apply_to have different feature counts")
     mu = train.features.mean(axis=0)
     sigma = train.features.std(axis=0, ddof=1)
-    for i, s in enumerate(sigma):
-        if s == 0.0 or not np.isfinite(s):
-            raise ZeroVarianceColumn(train.feature_names[i])
+    if keep_constant:
+        sigma = np.where(sigma > 0.0, sigma, 1.0)
+    else:
+        for i, s in enumerate(sigma):
+            if s == 0.0 or not np.isfinite(s):
+                raise ZeroVarianceColumn(train.feature_names[i])
     return Dataset(
         features=(apply_to.features - mu) / sigma,
         labels=apply_to.labels,
         feature_names=apply_to.feature_names,
     )
+
+
+def sq_distance_chunks(
+    A: np.ndarray, B: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Squared Euclidean distances of the rows of ``A`` to every row of
+    ``B``, as ``(rows of A, distances)`` chunks covering ``A`` in order.
+
+    Computed from literal coordinate differences (no norm expansion), so
+    exact ties stay exact.  A chunk has at least one row and a difference
+    block of at most ``_DISTANCE_CHUNK`` values, so callers that consume
+    chunks one by one use bounded memory; the values do not depend on the
+    chunk size.
+    """
+    chunk = max(1, _DISTANCE_CHUNK // max(1, B.shape[0] * B.shape[1]))
+    for start in range(0, A.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        diff = A[rows, None, :] - B[None, :, :]
+        yield rows, np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def to_dataset(table: CohortTable) -> Dataset:

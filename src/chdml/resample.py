@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingleClass, TooFewMinority
-from .preprocess import Dataset
+from .preprocess import Dataset, sq_distance_chunks
 
 __all__ = ["SmoteParams", "minority_neighbors", "smote"]
 
@@ -46,17 +46,6 @@ class SmoteParams:
             raise ConfigError("target_ratio must be positive")
 
 
-def _pairwise_sq_dist(A: np.ndarray, B: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Squared Euclidean distances, computed as literal coordinate
-    differences (no norm expansion) so exact ties stay exact."""
-    out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    for start in range(0, A.shape[0], chunk):
-        stop = min(start + chunk, A.shape[0])
-        diff = A[start:stop, None, :] - B[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
-
-
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest other minority rows.
 
@@ -68,11 +57,13 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     if n < 2:
         raise TooFewMinority("need at least 2 minority rows")
     k_eff = min(int(k), n - 1)
-    d2 = _pairwise_sq_dist(X, X)
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort keeps ascending row index on exact distance ties
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k_eff]
+    neighbors = np.empty((n, k_eff), dtype=np.intp)
+    for rows, d2 in sq_distance_chunks(X, X):
+        self_index = np.arange(n)[rows]
+        d2[np.arange(self_index.size), self_index] = np.inf
+        # stable argsort keeps ascending row index on exact distance ties
+        neighbors[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    return neighbors
 
 
 def smote(dataset: Dataset, params: SmoteParams) -> Dataset:

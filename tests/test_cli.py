@@ -77,6 +77,51 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "NB" in printed and "CART" in printed
 
+    def test_repeated_algorithm_keyed_like_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        shallow = {"algorithm": "CART", "hyperparameters": {"max_depth": 2}}
+        algorithms = ["NB", shallow, "CART"]
+        config = with_config(tmp_path, algorithms=algorithms)
+        assert main(["evaluate", "--config", config, "--output", str(out)]) == 0
+        doc = json.loads((out / "eval.json").read_text())
+        assert list(doc["results"]) == ["NB", "CART", "CART#2"]
+        assert doc["results"]["CART"] != doc["results"]["CART#2"]
+
+
+class TestAgreesWithRun:
+    """The subcommands and ``chdml run`` go through the same stages."""
+
+    def test_evaluate_matches_smote_arm(self, tmp_path, capsys):
+        config = with_config(tmp_path, algorithms=["LR", "KNN", "NB", "SVM", "CART"])
+        run_out, eval_out = tmp_path / "run", tmp_path / "eval"
+        assert main(["run", "--config", config, "--output", str(run_out)]) == 0
+        assert main([
+            "evaluate", "--config", config, "--output", str(eval_out),
+            "--mode", "paper-faithful",
+        ]) == 0
+        report = json.loads((run_out / "report.json").read_text())
+        results = json.loads((eval_out / "eval.json").read_text())["results"]
+        assert list(results) == list(report["cv"]["smote"])
+        for algo, got in results.items():
+            summary = report["cv"]["smote"][algo]
+            assert got == {
+                "cv_mean": summary["mean"],
+                "cv_std": summary["std"],
+                "holdout_auc": report["holdout"]["smote"][algo],
+            }
+
+    def test_clean_balance_matches_report(self, tmp_path, capsys):
+        config = with_config(tmp_path)
+        run_out, clean_out = tmp_path / "run", tmp_path / "clean"
+        assert main(["run", "--config", config, "--output", str(run_out)]) == 0
+        assert main(["clean", "--config", config, "--output", str(clean_out)]) == 0
+        report = json.loads((run_out / "report.json").read_text())
+        balance = json.loads((clean_out / "class_balance.json").read_text())
+        assert balance == {
+            "raw": report["class_balance"]["raw"],
+            "clean": report["class_balance"]["clean"],
+        }
+
 
 class TestRun:
     def test_full_run(self, tmp_path, capsys):
@@ -141,6 +186,17 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", [{"hyperparameters": {}}, 42], ids=["no-algorithm-key", "not-an-object"]
+    )
+    def test_bad_algorithm_entry_is_config_error(self, tmp_path, capsys, entry):
+        config = with_config(tmp_path, algorithms=["NB", entry])
+        code = main(["run", "--config", config, "--output", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: algorithms[1] ")
+        assert len(err.splitlines()) == 1
 
     def test_env_var_supplies_input(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHD_DATA", FIXTURE)

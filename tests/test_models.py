@@ -27,7 +27,8 @@ from chdml.models import (
     threshold_for,
 )
 from chdml.models.linear import nll_gradient, nll_loss
-from chdml.preprocess import Dataset
+from chdml.models.svm import _RowCache
+from chdml.preprocess import Dataset, sq_distance_chunks
 
 XOR = Dataset(
     np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -245,6 +246,14 @@ class TestSvm:
         data = blobs(seed=8)
         model = fit(ClassifierSpec("SVM"), data)
         assert threshold_for(model) == 0.0
+
+    def test_kernel_row_is_rbf_of_distance_row(self):
+        X = blobs(seed=11).features
+        gamma = 0.3
+        cache = _RowCache(X, gamma)
+        d2 = np.vstack([chunk for _, chunk in sq_distance_chunks(X, X)])
+        for i in (0, 17, len(X) - 1):
+            assert np.array_equal(cache.get(i), np.exp(-gamma * d2[i]))
 
 
 class TestDispatch:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chdml
+from chdml import preprocess
 from chdml.errors import (
     AllMissingColumn,
     ConfigError,
@@ -21,6 +22,7 @@ from chdml.preprocess import (
     iqr_outlier_mask,
     pearson_correlation,
     sigma_outlier_mask,
+    sq_distance_chunks,
     standardize,
 )
 
@@ -162,6 +164,41 @@ class TestStandardize:
         train = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([0, 1]))
         with pytest.raises(ZeroVarianceColumn):
             standardize(train, train)
+
+    def test_keep_constant_centres_without_scaling(self):
+        train = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([0, 1]))
+        other = Dataset(np.array([[4.0, 2.5]]), np.array([1]))
+        applied = standardize(train, other, keep_constant=True)
+        assert applied.features.tolist() == [[3.0, 0.0]]
+
+
+def all_sq_distances(A, B):
+    out = np.full((len(A), len(B)), np.nan)
+    for rows, d2 in sq_distance_chunks(A, B):
+        out[rows] = d2
+    return out
+
+
+class TestSqDistanceChunks:
+    def test_same_bits_for_every_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A, B = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
+        whole = all_sq_distances(A, B)  # one chunk
+        # 1 (one row per chunk), 60 (3 rows: 7 is not a multiple), 120 (6 rows)
+        for budget, n_chunks in ((1, 7), (60, 3), (120, 2)):
+            monkeypatch.setattr(preprocess, "_DISTANCE_CHUNK", budget)
+            assert len(list(sq_distance_chunks(A, B))) == n_chunks
+            assert np.array_equal(all_sq_distances(A, B), whole)
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(4)
+        A = rng.integers(-5, 6, size=(4, 3)).astype(float)
+        B = rng.integers(-5, 6, size=(6, 3)).astype(float)
+        expected = [
+            [sum((a - b) ** 2 for a, b in zip(row_a, row_b)) for row_b in B]
+            for row_a in A
+        ]
+        assert all_sq_distances(A, B).tolist() == expected
 
 
 class TestPearson:

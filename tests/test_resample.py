@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chdml import preprocess
 from chdml.errors import ConfigError, SingleClass, TooFewMinority
 from chdml.preprocess import Dataset
 from chdml.resample import SmoteParams, minority_neighbors, smote
@@ -43,6 +44,15 @@ class TestMinorityNeighbors:
         nn = minority_neighbors(X, k=2)
         for i in range(3):
             assert i not in nn[i].tolist()
+
+    def test_self_excluded_in_every_chunk(self, monkeypatch):
+        # duplicates make each row's self-distance tie with a neighbour's
+        X = np.repeat(np.arange(4.0), 2)[:, None]
+        whole = minority_neighbors(X, k=3)
+        monkeypatch.setattr(preprocess, "_DISTANCE_CHUNK", 3 * len(X))  # 3 rows
+        chunked = minority_neighbors(X, k=3)
+        assert np.array_equal(chunked, whole)
+        assert all(i not in row for i, row in enumerate(chunked.tolist()))
 
     def test_k_clamped_to_population(self):
         X = np.array([[0.0], [1.0]])
