@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -37,12 +37,14 @@ class FeatureScores:
         lines = [f"Feature {i}: {s:.6f}" for i, s in enumerate(self.scores)]
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        doc = [
+    def to_doc(self) -> list[dict[str, Any]]:
+        return [
             {"index": i, "name": n, "score": float(s)}
             for i, (n, s) in enumerate(zip(self.names, self.scores))
         ]
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2)
 
 
 @dataclass(frozen=True)

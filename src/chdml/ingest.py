@@ -18,12 +18,14 @@ import csv
 import enum
 import json
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DuplicateColumn,
     MissingColumn,
@@ -228,13 +230,15 @@ class MissingReport:
     def total(self) -> int:
         return int(sum(self.counts.values()))
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict[str, Any]:
+        return {
             "method": "missing",
             "columns": {k: int(v) for k, v in self.counts.items()},
             "total": self.total,
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2)
 
 
 def _parse_cell(text: str, col: Column, row_number: int) -> float:
@@ -247,6 +251,8 @@ def _parse_cell(text: str, col: Column, row_number: int) -> float:
         value = float(token)
     except ValueError:
         raise UnparseableCell(row_number, col.name, text) from None
+    if not math.isfinite(value):
+        raise UnparseableCell(row_number, col.name, text, "not a finite number")
     if col.kind is FeatureKind.BINARY and value not in (0.0, 1.0):
         raise UnparseableCell(row_number, col.name, text, "expected 0 or 1")
     if col.kind is FeatureKind.ORDINAL:
@@ -336,20 +342,39 @@ def schema_from_json(path: str) -> Schema:
     """Load a schema from a JSON array of ``{name, kind, target}`` objects.
 
     Objects may carry optional ``low``/``high`` bounds for ordinal columns.
+    A file that is not a JSON array, or an entry without a name, a known kind
+    or numeric bounds, raises :class:`ConfigError` naming the path and the
+    entry's index.
     """
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, list):
-        raise DataError("schema file must contain a JSON array")
+        raise ConfigError(f"{path}: schema must be a JSON array")
     cols = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
+            raise ConfigError(
+                f'{path}: schema entry {i} must be an object with "name" and "kind"'
+            )
+        try:
+            kind = FeatureKind.from_string(str(entry["kind"]))
+        except DataError as exc:
+            raise ConfigError(f"{path}: schema entry {i}: {exc}") from None
+        low, high = entry.get("low"), entry.get("high")
+        if not all(b is None or type(b) in (int, float) for b in (low, high)):
+            raise ConfigError(
+                f'{path}: schema entry {i}: "low" and "high" must be numbers'
+            )
         cols.append(
             Column(
                 name=str(entry["name"]),
-                kind=FeatureKind.from_string(str(entry["kind"])),
+                kind=kind,
                 target=bool(entry.get("target", False)),
-                low=entry.get("low"),
-                high=entry.get("high"),
+                low=low,
+                high=high,
             )
         )
     return Schema(tuple(cols))

@@ -13,12 +13,21 @@ RF        random forest                  probability in [0, 1]
 
 Probability models predict label 1 strictly above 0.5; the SVM strictly
 above 0, so a perfectly uninformative model predicts the negative class.
+
+Model files (format 1) are JSON: ``{"format": 1, "spec": ..., "parameters":
+...}``.  The parameters are the model's dataclass fields other than ``spec``,
+in field order.  Arrays and tuples are written as (nested) lists, a tree as
+the object of its five node arrays, and ``null`` stands for NaN, which only
+a leaf's threshold holds.  Loading turns an object back into a tree, a list
+of objects into a tuple of trees, a list of integers into an int64 array and
+any other list into a float64 array.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Union
+from dataclasses import fields
+from typing import Any, Union
 
 import numpy as np
 
@@ -32,14 +41,13 @@ from .base import (
     ClassifierSpec,
     Prediction,
     check_vector,
-    dump_doc,
 )
 from .bayes import NaiveBayesModel
 from .forest import ForestModel
 from .linear import LogisticModel
 from .neighbors import KnnModel
 from .svm import SvmModel
-from .tree import CartModel
+from .tree import CartModel, Tree
 
 __all__ = [
     "ALGORITHMS",
@@ -113,21 +121,54 @@ def predict(model: TrainedModel, x: np.ndarray) -> Prediction:
     return Prediction(score=s, label=int(s > threshold_for(model)))
 
 
+def _encode(value: Any) -> Any:
+    if isinstance(value, Tree):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(Tree)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return None if isinstance(value, float) and np.isnan(value) else value
+
+
+def _decode(value: Any) -> Any:
+    if isinstance(value, dict):
+        return Tree(**{name: _decode(v) for name, v in value.items()})
+    if not isinstance(value, list):
+        return value
+    if value and isinstance(value[0], dict):
+        return tuple(_decode(v) for v in value)
+    arr = np.asarray(value)
+    return np.asarray(value, dtype=np.float64) if arr.dtype == object else arr
+
+
 def model_to_json(model: TrainedModel) -> str:
-    doc: dict[str, Any] = {
+    """Serialize a model; floats keep full repr precision."""
+    doc = {
         "format": FORMAT_VERSION,
         "spec": model.spec.to_doc(),
-        "parameters": model.parameters_doc(),
+        "parameters": {
+            f.name: _encode(getattr(model, f.name))
+            for f in fields(model)
+            if f.name != "spec"
+        },
     }
-    return dump_doc(doc)
+    return json.dumps(doc, indent=2)
 
 
 def model_from_json(text: str) -> TrainedModel:
-    doc: Mapping[str, Any] = json.loads(text)
+    doc = json.loads(text)
     if doc.get("format") != FORMAT_VERSION:
         raise DataError(f"unsupported model format {doc.get('format')!r}")
     spec = ClassifierSpec.from_doc(doc["spec"])
-    return _CLASSES[spec.algorithm].from_parameters_doc(spec, doc["parameters"])
+    params = {name: _decode(v) for name, v in doc["parameters"].items()}
+    if spec.algorithm == "SVM" and "n_features" not in params:
+        # SVM files written before n_features was stored: width of the vectors
+        params["n_features"] = np.shape(params["support_vectors"])[-1]
+    try:
+        return _CLASSES[spec.algorithm](spec=spec, **params)
+    except TypeError as exc:  # a missing or unknown parameter name
+        raise DataError(f"malformed {spec.algorithm} model: {exc}") from None
 
 
 def save_model(model: TrainedModel, path: str) -> None:

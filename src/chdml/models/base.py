@@ -1,14 +1,14 @@
 """Shared classifier contract: specs, defaults, and the scoring interface.
 
-Every algorithm implements ``fit`` into a model object exposing
-``score_one``/``score_many`` plus JSON (de)serialization.  Five of the six
+Every algorithm implements ``fit`` into a frozen dataclass exposing
+``score_many`` and ``n_features``; its fields are what a model file holds
+(see :mod:`chdml.models`).  Five of the six
 produce probabilities in [0, 1] thresholded strictly above 0.5; the SVM
 produces an unbounded decision value thresholded strictly above 0.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -146,8 +146,3 @@ def check_matrix(X: np.ndarray, n_features: int) -> np.ndarray:
             f"expected a matrix with {n_features} columns, got shape {arr.shape}"
         )
     return arr
-
-
-def dump_doc(doc: Mapping[str, Any]) -> str:
-    """Serialize a model document; floats keep full repr precision."""
-    return json.dumps(doc, indent=2)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -35,24 +34,6 @@ class NaiveBayesModel:
             ).sum(axis=1)
             log_post[:, c] = self.log_priors[c] + log_lik
         return np.exp(log_post[:, 1] - np.logaddexp(log_post[:, 0], log_post[:, 1]))
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {
-            "log_priors": [float(v) for v in self.log_priors],
-            "means": [[float(v) for v in row] for row in self.means],
-            "variances": [[float(v) for v in row] for row in self.variances],
-        }
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "NaiveBayesModel":
-        return cls(
-            spec=spec,
-            log_priors=np.asarray(doc["log_priors"], dtype=np.float64),
-            means=np.asarray(doc["means"], dtype=np.float64),
-            variances=np.asarray(doc["variances"], dtype=np.float64),
-        )
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> NaiveBayesModel:

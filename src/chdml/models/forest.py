@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -19,8 +18,8 @@ __all__ = ["ForestModel", "fit"]
 @dataclass(frozen=True)
 class ForestModel:
     spec: ClassifierSpec
-    trees: tuple[Tree, ...]
     n_features: int
+    trees: tuple[Tree, ...]
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Mean of the per-tree leaf scores."""
@@ -29,22 +28,6 @@ class ForestModel:
         for tree in self.trees:
             total += tree.score_many(X)
         return total / len(self.trees)
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {
-            "n_features": int(self.n_features),
-            "trees": [t.to_doc() for t in self.trees],
-        }
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "ForestModel":
-        return cls(
-            spec=spec,
-            trees=tuple(Tree.from_doc(d) for d in doc["trees"]),
-            n_features=int(doc["n_features"]),
-        )
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> ForestModel:

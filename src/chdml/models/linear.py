@@ -17,7 +17,6 @@ raising).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -70,24 +69,6 @@ class LogisticModel:
     def score_many(self, X: np.ndarray) -> np.ndarray:
         X = check_matrix(X, self.n_features)
         return sigmoid(X @ self.weights + self.bias)
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {
-            "weights": [float(v) for v in self.weights],
-            "bias": float(self.bias),
-            "converged": bool(self.converged),
-        }
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "LogisticModel":
-        return cls(
-            spec=spec,
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            converged=bool(doc["converged"]),
-        )
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -16,9 +15,9 @@ __all__ = ["KnnModel", "fit"]
 @dataclass(frozen=True)
 class KnnModel:
     spec: ClassifierSpec
+    k: int
     train_features: np.ndarray
     train_labels: np.ndarray
-    k: int
 
     @property
     def n_features(self) -> int:
@@ -38,24 +37,6 @@ class KnnModel:
             order = np.argsort(d2, axis=1, kind="stable")[:, :k]
             out[rows] = self.train_labels[order].mean(axis=1)
         return out
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {
-            "k": int(self.k),
-            "train_features": [[float(v) for v in row] for row in self.train_features],
-            "train_labels": [int(v) for v in self.train_labels],
-        }
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "KnnModel":
-        return cls(
-            spec=spec,
-            train_features=np.asarray(doc["train_features"], dtype=np.float64),
-            train_labels=np.asarray(doc["train_labels"], dtype=np.int64),
-            k=int(doc["k"]),
-        )
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> KnnModel:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -75,10 +74,7 @@ class SvmModel:
     bias: float
     gamma: float
     converged: bool
-
-    @property
-    def n_features(self) -> int:
-        return self.support_vectors.shape[1]
+    n_features: int
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         X = check_matrix(X, self.n_features)
@@ -86,35 +82,6 @@ class SvmModel:
             return np.full(X.shape[0], self.bias, dtype=np.float64)
         K = rbf_kernel(X, self.support_vectors, self.gamma)
         return K @ self.dual_coef + self.bias
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {
-            "support_vectors": [[float(v) for v in r] for r in self.support_vectors],
-            "support_labels": [int(v) for v in self.support_labels],
-            "dual_coef": [float(v) for v in self.dual_coef],
-            "support_indices": [int(v) for v in self.support_indices],
-            "bias": float(self.bias),
-            "gamma": float(self.gamma),
-            "converged": bool(self.converged),
-        }
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "SvmModel":
-        sv = np.asarray(doc["support_vectors"], dtype=np.float64)
-        if sv.size == 0:
-            sv = sv.reshape(0, 0)
-        return cls(
-            spec=spec,
-            support_vectors=sv,
-            support_labels=np.asarray(doc["support_labels"], dtype=np.int64),
-            dual_coef=np.asarray(doc["dual_coef"], dtype=np.float64),
-            support_indices=np.asarray(doc["support_indices"], dtype=np.int64),
-            bias=float(doc["bias"]),
-            gamma=float(doc["gamma"]),
-            converged=bool(doc["converged"]),
-        )
 
 
 class _Smo:
@@ -258,4 +225,5 @@ def fit(spec: ClassifierSpec, train: Dataset) -> SvmModel:
         bias=solver.b,
         gamma=gamma,
         converged=converged,
+        n_features=train.n_features,
     )

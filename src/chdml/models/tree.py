@@ -12,7 +12,6 @@ is reached.  Leaves score the positive fraction of their training rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -46,29 +45,6 @@ class Tree:
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             cur[rows] = np.where(go_left, self.left[node], self.right[node])
         return self.value[cur]
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "feature": [int(v) for v in self.feature],
-            "threshold": [
-                None if f < 0 else float(t)
-                for f, t in zip(self.feature, self.threshold)
-            ],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "value": [float(v) for v in self.value],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Tree":
-        thresholds = [np.nan if t is None else float(t) for t in doc["threshold"]]
-        return cls(
-            feature=np.asarray(doc["feature"], dtype=np.int64),
-            threshold=np.asarray(thresholds, dtype=np.float64),
-            left=np.asarray(doc["left"], dtype=np.int64),
-            right=np.asarray(doc["right"], dtype=np.int64),
-            value=np.asarray(doc["value"], dtype=np.float64),
-        )
 
 
 def _best_split(
@@ -183,25 +159,12 @@ def build_tree(
 @dataclass(frozen=True)
 class CartModel:
     spec: ClassifierSpec
-    tree: Tree
     n_features: int
+    tree: Tree
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         X = check_matrix(X, self.n_features)
         return self.tree.score_many(X)
-
-    def parameters_doc(self) -> dict[str, Any]:
-        return {"n_features": int(self.n_features), "tree": self.tree.to_doc()}
-
-    @classmethod
-    def from_parameters_doc(
-        cls, spec: ClassifierSpec, doc: Mapping[str, Any]
-    ) -> "CartModel":
-        return cls(
-            spec=spec,
-            tree=Tree.from_doc(doc["tree"]),
-            n_features=int(doc["n_features"]),
-        )
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> CartModel:

@@ -273,11 +273,7 @@ class RunReport:
                 "after_drop": self.rows_after_drop,
                 "after_outlier_removal": self.rows_after_outlier_removal,
             },
-            "missing": {
-                "method": "missing",
-                "columns": {k: int(v) for k, v in self.missing.counts.items()},
-                "total": self.missing.total,
-            },
+            "missing": self.missing.to_doc(),
             "class_balance": {
                 "raw": list(self.class_balance_raw),
                 "clean": list(self.class_balance_clean),
@@ -285,17 +281,8 @@ class RunReport:
                 if self.class_balance_resampled is None
                 else list(self.class_balance_resampled),
             },
-            "outliers": {
-                "method": self.outliers.method,
-                "columns": {k: int(v) for k, v in self.outliers.columns.items()},
-                "total": int(self.outliers.total),
-            },
-            "feature_scores": [
-                {"index": i, "name": n, "score": float(s)}
-                for i, (n, s) in enumerate(
-                    zip(self.feature_scores.names, self.feature_scores.scores)
-                )
-            ],
+            "outliers": self.outliers.to_doc(),
+            "feature_scores": self.feature_scores.to_doc(),
             "selection": {
                 "k": self.selection.k,
                 "selected": list(self.selection.selected),

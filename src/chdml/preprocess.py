@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,13 +80,15 @@ class OutlierReport:
     columns: Mapping[str, int]
     total: int
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict[str, Any]:
+        return {
             "method": self.method,
             "columns": {k: int(v) for k, v in self.columns.items()},
             "total": int(self.total),
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2)
 
 
 @dataclass(frozen=True, eq=False)

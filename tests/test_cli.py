@@ -198,6 +198,53 @@ class TestExitCodes:
         assert err.startswith("configuration error: algorithms[1] ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "schema, age, code, message",
+        [
+            (
+                '[{"name": "x", "kind": "continuous"}, {"kind": "binary", "target": true}]',
+                None, 2, "configuration error: {schema}: schema entry 1 ",
+            ),
+            ("[{oops", None, 2, "configuration error: {schema}: not valid JSON "),
+            ('{"x": "continuous"}', None, 2, "configuration error: {schema}: schema must "),
+            (
+                '[{"name": "x", "kind": "text"}]',
+                None, 2, "configuration error: {schema}: schema entry 0: unknown feature",
+            ),
+            (
+                '[{"name": "age", "kind": "ordinal", "low": "a"}]',
+                None, 2, 'configuration error: {schema}: schema entry 0: "low" and "high" ',
+            ),
+            (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
+            (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
+            (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
+        ],
+        ids=[
+            "schema-entry-without-name", "schema-not-json", "schema-not-an-array",
+            "schema-unknown-kind", "schema-text-bound", "inf", "-inf", "nan",
+        ],
+    )
+    def test_malformed_input_is_one_line(
+        self, tmp_path, capsys, schema, age, code, message
+    ):
+        schema_path = tmp_path / "schema.json"
+        overrides = {}
+        if schema is not None:
+            schema_path.write_text(schema, encoding="utf-8")
+            overrides["schema_path"] = str(schema_path)
+        if age is not None:
+            rows = Path(FIXTURE).read_text(encoding="utf-8").splitlines(keepends=True)
+            assert rows[1].startswith("1,50,")
+            rows[1] = rows[1].replace("1,50,", f"1,{age},", 1)
+            data = tmp_path / "data.csv"
+            data.write_text("".join(rows), encoding="utf-8")
+            overrides["input_path"] = str(data)
+        config = with_config(tmp_path, **overrides)
+        assert main(["clean", "--config", config, "--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(schema=schema_path))
+        assert len(err.splitlines()) == 1
+
     def test_env_var_supplies_input(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHD_DATA", FIXTURE)
         out = tmp_path / "out"

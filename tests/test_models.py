@@ -1,5 +1,6 @@
 """The six classifiers: fitting, scoring, edge cases, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -269,9 +270,62 @@ class TestDispatch:
     def test_json_round_trip(self, algorithm, tmp_path):
         data = blobs(seed=12)
         model = fit(ClassifierSpec(algorithm, seed=2), data)
-        again = model_from_json(model_to_json(model))
+        text = model_to_json(model)
+        again = model_from_json(text)
         assert np.array_equal(
             score_many(model, data.features), score_many(again, data.features)
+        )
+        assert model_to_json(again) == text
+
+    @pytest.mark.parametrize(
+        "algorithm, keys",
+        [
+            ("LR", ["weights", "bias", "converged"]),
+            ("NB", ["log_priors", "means", "variances"]),
+            ("KNN", ["k", "train_features", "train_labels"]),
+            ("CART", ["n_features", "tree"]),
+            ("RF", ["n_features", "trees"]),
+            (
+                "SVM",
+                [
+                    "support_vectors", "support_labels", "dual_coef",
+                    "support_indices", "bias", "gamma", "converged", "n_features",
+                ],
+            ),
+        ],
+    )
+    def test_json_layout(self, algorithm, keys):
+        model = fit(ClassifierSpec(algorithm, seed=2), blobs(seed=12))
+        doc = json.loads(model_to_json(model))
+        assert list(doc) == ["format", "spec", "parameters"]
+        params = doc["parameters"]
+        assert list(params) == keys
+        for tree in params.get("trees", [params["tree"]] if "tree" in params else []):
+            assert list(tree) == ["feature", "threshold", "left", "right", "value"]
+            leaves = [f < 0 for f in tree["feature"]]
+            assert [t is None for t in tree["threshold"]] == leaves
+            assert all(isinstance(t, float) for t in tree["threshold"] if t is not None)
+
+    def test_svm_without_support_vectors_round_trips(self):
+        X = np.random.default_rng(4).normal(size=(6, 3))
+        model = fit(
+            ClassifierSpec("SVM", hyperparameters={"tol": 2.0}),
+            Dataset(X, np.array([0, 1, 0, 1, 0, 1])),
+        )
+        assert len(model.dual_coef) == 0 and model.n_features == 3
+        again = model_from_json(model_to_json(model))
+        assert again.n_features == 3
+        assert np.array_equal(score_many(again, X), score_many(model, X))
+
+    def test_svm_file_without_n_features_loads(self):
+        data = blobs(seed=12)
+        model = fit(ClassifierSpec("SVM", seed=2), data)
+        doc = json.loads(model_to_json(model))
+        del doc["parameters"]["n_features"]
+        again = model_from_json(json.dumps(doc, indent=2))
+        assert again.n_features == 2
+        assert np.array_equal(
+            score_many(again, data.features), score_many(model, data.features)
         )
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -291,6 +345,16 @@ class TestDispatch:
         tampered = doc.replace('"format": 1', '"format": 99', 1)
         with pytest.raises(DataError):
             model_from_json(tampered)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_parameter_names_checked(self, change):
+        doc = json.loads(model_to_json(fit(ClassifierSpec("NB"), blobs(seed=14))))
+        if change == "drop":
+            del doc["parameters"]["means"]
+        else:
+            doc["parameters"]["extra"] = 1
+        with pytest.raises(DataError, match="malformed NB model"):
+            model_from_json(json.dumps(doc))
 
     def test_dimension_mismatch(self):
         data = blobs(seed=15)
