@@ -162,7 +162,8 @@ def _cmd_evaluate(config: PipelineConfig) -> int:
 def _cmd_run(config: PipelineConfig) -> int:
     report = run_pipeline(config)
     algo_keys = list(report.cv[ARM_ORIGINAL])
-    print(f"rows: {report.rows_loaded} loaded -> {report.rows_after_outlier_removal} clean")
+    cohort = report.cohort
+    print(f"rows: {cohort.rows_loaded} loaded -> {cohort.table.row_count} clean")
     for arm in (ARM_ORIGINAL, ARM_SMOTE):
         means = "  ".join(
             f"{a}={report.cv[arm][a].mean:.4f}" for a in algo_keys

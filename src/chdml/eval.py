@@ -227,14 +227,6 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
 
-def _apply_smote_mode(
-    dataset: Dataset, mode: SmoteMode, params: SmoteParams | None
-) -> Dataset:
-    if mode is SmoteMode.PAPER_FAITHFUL:
-        return smote(dataset, params or SmoteParams())
-    return dataset
-
-
 def iter_cv_splits(
     dataset: Dataset,
     k: int,
@@ -250,7 +242,7 @@ def iter_cv_splits(
     side is always original rows.
     """
     params = smote_params or SmoteParams()
-    data = _apply_smote_mode(dataset, mode, params)
+    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
     folds = stratified_kfold(data, k, seed)
     all_idx = np.arange(data.n_rows)
     for f, test_idx in enumerate(folds):
@@ -264,16 +256,16 @@ def iter_cv_splits(
 
 
 def _fit_and_score(
-    spec: ClassifierSpec, train: Dataset, test: Dataset, fold: int
+    spec: ClassifierSpec, train: Dataset, test: Dataset
 ) -> tuple[float, float, bool]:
-    """AUC, plain accuracy, and convergence of one fold."""
+    """AUC, plain accuracy, and convergence of ``spec`` fitted on ``train``
+    and scored on ``test``; the caller sets the spec's seed."""
     if spec.algorithm in STANDARDIZED_ALGORITHMS:
         train, test = (
             standardize(train, train, keep_constant=True),
             standardize(train, test, keep_constant=True),
         )
-    fold_spec = spec.replace(seed=child_seed(spec.seed, fold))
-    model = models.fit(fold_spec, train)
+    model = models.fit(spec, train)
     scores = models.score_many(model, test.features)
     auc = roc_auc(scores, test.labels)
     predicted = (scores > models.threshold_for(model)).astype(np.int64)
@@ -294,7 +286,8 @@ def cross_validate(
     for f, (train, test) in enumerate(
         iter_cv_splits(dataset, k, seed, mode, smote_params)
     ):
-        auc, acc, ok = _fit_and_score(spec, train, test, f)
+        fold_spec = spec.replace(seed=child_seed(spec.seed, f))
+        auc, acc, ok = _fit_and_score(fold_spec, train, test)
         aucs.append(auc)
         accs.append(acc)
         flags.append(ok)
@@ -322,19 +315,14 @@ def holdout_evaluate(
 
     PAPER_FAITHFUL resamples before the split (test side contaminated,
     by design); LEAKAGE_FREE resamples the training side after the split.
+    The model is fitted with ``spec``'s own seed.
     """
     params = smote_params or SmoteParams()
-    data = _apply_smote_mode(dataset, mode, params)
+    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
     train, test = stratified_split(data, test_fraction, seed)
     if mode is SmoteMode.LEAKAGE_FREE:
         train = smote(train, params)
-    if spec.algorithm in STANDARDIZED_ALGORITHMS:
-        train, test = (
-            standardize(train, train, keep_constant=True),
-            standardize(train, test, keep_constant=True),
-        )
-    model = models.fit(spec, train)
-    return roc_auc(models.score_many(model, test.features), test.labels)
+    return _fit_and_score(spec, train, test)[0]
 
 
 def grid_search(

@@ -135,29 +135,25 @@ class Schema:
         raise KeyError(name)
 
 
-def _col(name: str, kind: FeatureKind, **kw) -> Column:
-    return Column(name, kind, **kw)
-
-
 #: Built-in schema for the 16-column coronary-heart-disease cohort file.
 FRAMINGHAM = Schema(
     columns=(
-        _col("sex", FeatureKind.BINARY),
-        _col("age", FeatureKind.CONTINUOUS),
-        _col("education", FeatureKind.ORDINAL, low=1, high=4),
-        _col("currentSmoker", FeatureKind.BINARY),
-        _col("cigsPerDay", FeatureKind.CONTINUOUS),
-        _col("BPMeds", FeatureKind.BINARY),
-        _col("prevalentStroke", FeatureKind.BINARY),
-        _col("prevalentHyp", FeatureKind.BINARY),
-        _col("diabetes", FeatureKind.BINARY),
-        _col("totChol", FeatureKind.CONTINUOUS),
-        _col("sysBP", FeatureKind.CONTINUOUS),
-        _col("diaBP", FeatureKind.CONTINUOUS),
-        _col("BMI", FeatureKind.CONTINUOUS),
-        _col("heartRate", FeatureKind.CONTINUOUS),
-        _col("glucose", FeatureKind.CONTINUOUS),
-        _col("TenYearCHD", FeatureKind.BINARY, target=True),
+        Column("sex", FeatureKind.BINARY),
+        Column("age", FeatureKind.CONTINUOUS),
+        Column("education", FeatureKind.ORDINAL, low=1, high=4),
+        Column("currentSmoker", FeatureKind.BINARY),
+        Column("cigsPerDay", FeatureKind.CONTINUOUS),
+        Column("BPMeds", FeatureKind.BINARY),
+        Column("prevalentStroke", FeatureKind.BINARY),
+        Column("prevalentHyp", FeatureKind.BINARY),
+        Column("diabetes", FeatureKind.BINARY),
+        Column("totChol", FeatureKind.CONTINUOUS),
+        Column("sysBP", FeatureKind.CONTINUOUS),
+        Column("diaBP", FeatureKind.CONTINUOUS),
+        Column("BMI", FeatureKind.CONTINUOUS),
+        Column("heartRate", FeatureKind.CONTINUOUS),
+        Column("glucose", FeatureKind.CONTINUOUS),
+        Column("TenYearCHD", FeatureKind.BINARY, target=True),
     )
 )
 
@@ -193,10 +189,7 @@ class CohortTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise KeyError(name) from None
+        return self.columns[name]
 
     def replace_columns(self, new: Mapping[str, np.ndarray]) -> "CohortTable":
         merged = {n: new.get(n, v) for n, v in self.columns.items()}
@@ -344,7 +337,8 @@ def schema_from_json(path: str) -> Schema:
     Objects may carry optional ``low``/``high`` bounds for ordinal columns.
     A file that is not a JSON array, or an entry without a name, a known kind
     or numeric bounds, raises :class:`ConfigError` naming the path and the
-    entry's index.
+    entry's index; a schema without exactly one binary target, or with a
+    repeated name, raises :class:`ConfigError` naming the path.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -377,7 +371,10 @@ def schema_from_json(path: str) -> Schema:
                 high=high,
             )
         )
-    return Schema(tuple(cols))
+    try:
+        return Schema(tuple(cols))
+    except DataError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def missing_report(table: CohortTable) -> MissingReport:

@@ -9,6 +9,9 @@ produces an unbounded decision value thresholded strictly above 0.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -58,7 +61,8 @@ class ClassifierSpec:
     """Algorithm choice plus hyperparameter overrides and a seed.
 
     Unknown hyperparameter names are rejected at construction so a typo
-    cannot silently fall back to a default.
+    cannot silently fall back to a default, and so is a value that is not
+    a finite number, or a ``k`` or ``n_trees`` that rounds below 1.
     """
 
     algorithm: str
@@ -73,9 +77,18 @@ class ClassifierSpec:
             )
         object.__setattr__(self, "algorithm", algo)
         allowed = set(DEFAULT_HYPERPARAMETERS[algo])
-        for name in self.hyperparameters:
+        for name, value in self.hyperparameters.items():
             if name not in allowed:
                 raise UnknownHyperparameter(algo, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(
+                    f"{algo} hyperparameter {name!r} must be a finite number, "
+                    f"not {value!r}"
+                )
+            if name in ("k", "n_trees") and round(value) < 1:
+                raise ConfigError(
+                    f"{algo} hyperparameter {name!r} must be at least 1, not {value!r}"
+                )
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
 
     def resolved(self) -> dict[str, float]:
@@ -85,13 +98,7 @@ class ClassifierSpec:
         return merged
 
     def replace(self, **changes: Any) -> "ClassifierSpec":
-        merged = {
-            "algorithm": self.algorithm,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": self.seed,
-        }
-        merged.update(changes)
-        return ClassifierSpec(**merged)
+        return dataclasses.replace(self, **changes)
 
     def to_doc(self) -> dict[str, Any]:
         return {
@@ -101,11 +108,12 @@ class ClassifierSpec:
         }
 
     @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ClassifierSpec":
+    def from_doc(cls, doc: Mapping[str, Any], seed: int = 0) -> "ClassifierSpec":
+        """Inverse of :meth:`to_doc`; ``seed`` applies when the doc has none."""
         return cls(
             algorithm=doc["algorithm"],
             hyperparameters=dict(doc.get("hyperparameters", {})),
-            seed=int(doc.get("seed", 0)),
+            seed=int(doc.get("seed", seed)),
         )
 
 

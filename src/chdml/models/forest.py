@@ -42,8 +42,6 @@ def fit(spec: ClassifierSpec, train: Dataset) -> ForestModel:
     check_train(train, require_both_classes=False)
     hp = spec.resolved()
     n_trees = int(round(hp["n_trees"]))
-    if n_trees < 1:
-        n_trees = 1
     d = train.n_features
     mtry = int(round(hp["mtry"])) or int(math.floor(math.sqrt(d)))
     mtry = min(max(mtry, 1), d)

@@ -43,8 +43,6 @@ def fit(spec: ClassifierSpec, train: Dataset) -> KnnModel:
     """Store the training data; all work happens at scoring time."""
     check_train(train, require_both_classes=False)
     k = int(round(spec.resolved()["k"]))
-    if k < 1:
-        k = 1
     return KnnModel(
         spec=spec,
         train_features=train.features,

@@ -146,20 +146,16 @@ class PipelineConfig:
         specs = []
         for position, entry in enumerate(merged["algorithms"]):
             if isinstance(entry, str):
-                specs.append(ClassifierSpec(algorithm=entry, seed=merged["seed"]))
+                entry = {"algorithm": entry}
             elif not isinstance(entry, Mapping) or "algorithm" not in entry:
                 raise ConfigError(
                     f"algorithms[{position}] must be a name or an object with an "
                     f"'algorithm' key, not {entry!r}"
                 )
-            else:
-                specs.append(
-                    ClassifierSpec(
-                        algorithm=entry["algorithm"],
-                        hyperparameters=dict(entry.get("hyperparameters", {})),
-                        seed=int(entry.get("seed", merged["seed"])),
-                    )
-                )
+            try:
+                specs.append(ClassifierSpec.from_doc(entry, seed=merged["seed"]))
+            except ConfigError as exc:
+                raise ConfigError(f"algorithms[{position}] {exc}") from None
 
         return cls(
             input_path=merged["input_path"],
@@ -249,39 +245,32 @@ class RunReport:
     input file).
     """
 
-    config: dict[str, Any]
-    missing: MissingReport
-    class_balance_raw: tuple[int, int]
-    rows_loaded: int
-    rows_after_drop: int
-    outliers: OutlierReport
-    rows_after_outlier_removal: int
-    class_balance_clean: tuple[int, int]
+    config: PipelineConfig
+    cohort: CleanedCohort
     class_balance_resampled: tuple[int, int] | None
     feature_scores: FeatureScores
     selection: SelectionResult
     cv: dict[str, dict[str, EvalSummary]]        # arm -> algorithm -> summary
-    holdout: dict[str, dict[str, float]]         # arm -> algorithm -> AUC
-    boxplot: dict[str, dict[str, tuple[float, float, float, float, float]]]
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_doc(self) -> dict[str, Any]:
+        cohort = self.cohort
         return {
-            "config": self.config,
+            "config": self.config.to_dict(),
             "rows": {
-                "loaded": self.rows_loaded,
-                "after_drop": self.rows_after_drop,
-                "after_outlier_removal": self.rows_after_outlier_removal,
+                "loaded": cohort.rows_loaded,
+                "after_drop": cohort.rows_after_drop,
+                "after_outlier_removal": cohort.table.row_count,
             },
-            "missing": self.missing.to_doc(),
+            "missing": cohort.missing.to_doc(),
             "class_balance": {
-                "raw": list(self.class_balance_raw),
-                "clean": list(self.class_balance_clean),
+                "raw": list(cohort.balance_raw),
+                "clean": list(cohort.balance_clean),
                 "resampled": None
                 if self.class_balance_resampled is None
                 else list(self.class_balance_resampled),
             },
-            "outliers": self.outliers.to_doc(),
+            "outliers": cohort.outliers.to_doc(),
             "feature_scores": self.feature_scores.to_doc(),
             "selection": {
                 "k": self.selection.k,
@@ -292,12 +281,15 @@ class RunReport:
                 for arm, by_algo in self.cv.items()
             },
             "holdout": {
-                arm: {algo: float(a) for algo, a in by_algo.items()}
-                for arm, by_algo in self.holdout.items()
+                arm: {algo: float(s.holdout_auc) for algo, s in by_algo.items()}
+                for arm, by_algo in self.cv.items()
             },
             "boxplot": {
-                arm: {algo: list(map(float, five)) for algo, five in by_algo.items()}
-                for arm, by_algo in self.boxplot.items()
+                arm: {
+                    algo: list(map(float, _five_number(s.fold_aucs)))
+                    for algo, s in by_algo.items()
+                }
+                for arm, by_algo in self.cv.items()
             },
         }
 
@@ -420,26 +412,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         tick(f"evaluate[{ARM_SMOTE}]", t0)
 
     report = RunReport(
-        config=config.to_dict(),
-        missing=cohort.missing,
-        class_balance_raw=cohort.balance_raw,
-        rows_loaded=cohort.rows_loaded,
-        rows_after_drop=cohort.rows_after_drop,
-        outliers=cohort.outliers,
-        rows_after_outlier_removal=cohort.table.row_count,
-        class_balance_clean=cohort.balance_clean,
+        config=config,
+        cohort=cohort,
         class_balance_resampled=balance_resampled,
         feature_scores=scores,
         selection=selection,
         cv=cv,
-        holdout={
-            arm: {algo: s.holdout_auc for algo, s in by_algo.items()}
-            for arm, by_algo in cv.items()
-        },
-        boxplot={
-            arm: {algo: _five_number(s.fold_aucs) for algo, s in by_algo.items()}
-            for arm, by_algo in cv.items()
-        },
         timings=timings,
     )
     emit_tables(report, config.output_dir)
@@ -478,7 +456,7 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
         _table_csv(
             ["arm", *algo_keys],
             [
-                [arm, *(report.holdout[arm][a] for a in algo_keys)]
+                [arm, *(report.cv[arm][a].holdout_auc for a in algo_keys)]
                 for arm in (ARM_ORIGINAL, ARM_SMOTE)
             ],
         ),
@@ -488,7 +466,7 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
     box_rows = []
     for arm in (ARM_ORIGINAL, ARM_SMOTE):
         for algo in algo_keys:
-            box_rows.append([arm, algo, *report.boxplot[arm][algo]])
+            box_rows.append([arm, algo, *_five_number(report.cv[arm][algo].fold_aucs)])
     (out / "boxplot_stats.csv").write_text(
         _table_csv(["arm", "algorithm", "min", "q1", "median", "q3", "max"], box_rows),
         encoding="utf-8",

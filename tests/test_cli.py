@@ -91,13 +91,15 @@ class TestEvaluate:
 class TestAgreesWithRun:
     """The subcommands and ``chdml run`` go through the same stages."""
 
-    def test_evaluate_matches_smote_arm(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["paper-faithful", "leakage-free"])
+    def test_evaluate_matches_smote_arm(self, tmp_path, capsys, mode):
         config = with_config(tmp_path, algorithms=["LR", "KNN", "NB", "SVM", "CART"])
         run_out, eval_out = tmp_path / "run", tmp_path / "eval"
-        assert main(["run", "--config", config, "--output", str(run_out)]) == 0
         assert main([
-            "evaluate", "--config", config, "--output", str(eval_out),
-            "--mode", "paper-faithful",
+            "run", "--config", config, "--output", str(run_out), "--mode", mode,
+        ]) == 0
+        assert main([
+            "evaluate", "--config", config, "--output", str(eval_out), "--mode", mode,
         ]) == 0
         report = json.loads((run_out / "report.json").read_text())
         results = json.loads((eval_out / "eval.json").read_text())["results"]
@@ -188,7 +190,14 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "entry", [{"hyperparameters": {}}, 42], ids=["no-algorithm-key", "not-an-object"]
+        "entry",
+        [
+            {"hyperparameters": {}},
+            42,
+            {"algorithm": "KNN", "hyperparameters": {"k": "abc"}},
+            {"algorithm": "RF", "hyperparameters": {"n_trees": -5}},
+        ],
+        ids=["no-algorithm-key", "not-an-object", "text-k", "negative-n-trees"],
     )
     def test_bad_algorithm_entry_is_config_error(self, tmp_path, capsys, entry):
         config = with_config(tmp_path, algorithms=["NB", entry])
@@ -215,13 +224,19 @@ class TestExitCodes:
                 '[{"name": "age", "kind": "ordinal", "low": "a"}]',
                 None, 2, 'configuration error: {schema}: schema entry 0: "low" and "high" ',
             ),
+            (
+                '[{"name": "x", "kind": "continuous"}, {"name": "y", "kind": "binary"}]',
+                None, 2,
+                "configuration error: {schema}: schema must declare exactly one target",
+            ),
             (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
             (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
             (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
         ],
         ids=[
             "schema-entry-without-name", "schema-not-json", "schema-not-an-array",
-            "schema-unknown-kind", "schema-text-bound", "inf", "-inf", "nan",
+            "schema-unknown-kind", "schema-text-bound", "schema-no-target",
+            "inf", "-inf", "nan",
         ],
     )
     def test_malformed_input_is_one_line(

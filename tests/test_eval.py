@@ -259,6 +259,14 @@ class TestHoldout:
         b = holdout_evaluate(spec, data, seed=3, mode=SmoteMode.NONE)
         assert a == b
 
+    def test_fits_with_the_specs_own_seed(self):
+        data = two_blobs()
+        spec = ClassifierSpec("RF", hyperparameters={"n_trees": 5}, seed=1)
+        train, test = stratified_split(data, 0.2, seed=3)
+        model = chdml.models.fit(spec, train)
+        expected = roc_auc(chdml.models.score_many(model, test.features), test.labels)
+        assert holdout_evaluate(spec, data, seed=3, mode=SmoteMode.NONE) == expected
+
 
 class TestSmoteMode:
     def test_from_string(self):

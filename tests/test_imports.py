@@ -1,0 +1,49 @@
+"""Every name a module imports is used, re-exported or marked as deliberate."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "chdml"
+
+MARKER = "# noqa: F401"
+
+
+def exported(tree):
+    """Names listed in the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(path):
+    """(line, name) of each imported name the module never uses."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if MARKER in lines[node.lineno - 1] or MARKER in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    keep = used | exported(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in keep)
+
+
+def test_no_unused_imports():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    unused = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in files
+        for line, name in unused_imports(path)
+    ]
+    assert not unused

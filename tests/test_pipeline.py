@@ -117,18 +117,18 @@ def run(tmp_path_factory):
 class TestRunPipeline:
     def test_counts_flow(self, run):
         _, report = run
-        assert report.rows_loaded == 60
-        assert report.rows_after_drop == 57
-        assert report.rows_after_outlier_removal == 56
-        assert report.class_balance_raw == (40, 20)
-        assert report.class_balance_clean == (37, 19)
+        assert report.cohort.rows_loaded == 60
+        assert report.cohort.rows_after_drop == 57
+        assert report.cohort.table.row_count == 56
+        assert report.cohort.balance_raw == (40, 20)
+        assert report.cohort.balance_clean == (37, 19)
         assert report.class_balance_resampled == (37, 37)
 
     def test_both_arms_present(self, run):
         _, report = run
         for arm in (ARM_ORIGINAL, ARM_SMOTE):
             assert set(report.cv[arm]) == {"LR", "NB", "CART"}
-            assert set(report.holdout[arm]) == {"LR", "NB", "CART"}
+            assert all(s.holdout_auc is not None for s in report.cv[arm].values())
 
     def test_files_written(self, run):
         config, _ = run
