@@ -79,29 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_file(args.config)
-        if args.config
-        else PipelineConfig.from_dict({})
-    )
-    overrides = {}
-    if args.output is not None:
-        overrides["output_dir"] = args.output
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    flags = {
+        "output_dir": args.output,
+        "seed": args.seed,
+        "smote_mode": None if args.mode is None else SmoteMode(args.mode),
+        "input_path": args.input,
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["smote_mode"] = SmoteMode.from_string(args.mode)
-    if args.input is not None:
-        overrides["input_path"] = args.input
-    if not overrides:
-        return config
-    if "seed" in overrides:
         # the master seed feeds the resampler and the models too
-        seed = overrides["seed"]
-        overrides["smote"] = dataclasses.replace(config.smote, seed=seed)
-        overrides["algorithms"] = tuple(
-            s.replace(seed=seed) for s in config.algorithms
-        )
+        overrides["smote"] = dataclasses.replace(config.smote, seed=args.seed)
+        overrides["algorithms"] = tuple(s.replace(seed=args.seed) for s in config.algorithms)
     return dataclasses.replace(config, **overrides)
 
 

@@ -14,6 +14,8 @@ Three broad families matter to callers:
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "ChdmlError",
     "ConfigError",
@@ -49,6 +51,13 @@ class ConfigError(ChdmlError):
 
 class DataError(ChdmlError):
     """The data cannot support the requested operation."""
+
+
+def check_integer(name: str, value: object, least: int = 0) -> int:
+    """``value`` as an int of at least ``least``; else a ConfigError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
 
 
 # --- ingest ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from ..errors import (
     NonFiniteFeature,
     SingleClass,
     UnknownHyperparameter,
+    check_integer,
 )
 from ..preprocess import Dataset
 
@@ -53,6 +54,13 @@ DEFAULT_HYPERPARAMETERS: Mapping[str, Mapping[str, float]] = {
     },
 }
 
+#: Lower bound of each hyperparameter that has one; those with an integer
+#: default are compared after rounding, as the models round them.
+HYPERPARAMETER_BOUNDS: Mapping[str, tuple[str, float]] = {
+    "step": ("above", 0), "tol": ("above", 0), "C": ("above", 0),
+    "gamma": ("at least", 0), "k": ("at least", 1), "n_trees": ("at least", 1),
+}
+
 FORMAT_VERSION = 1
 
 
@@ -62,7 +70,7 @@ class ClassifierSpec:
 
     Unknown hyperparameter names are rejected at construction so a typo
     cannot silently fall back to a default, and so is a value that is not
-    a finite number, or a ``k`` or ``n_trees`` that rounds below 1.
+    a finite number (a bool is not) or is out of HYPERPARAMETER_BOUNDS.
     """
 
     algorithm: str
@@ -76,20 +84,20 @@ class ClassifierSpec:
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
         object.__setattr__(self, "algorithm", algo)
-        allowed = set(DEFAULT_HYPERPARAMETERS[algo])
+        defaults = DEFAULT_HYPERPARAMETERS[algo]
         for name, value in self.hyperparameters.items():
-            if name not in allowed:
+            if name not in defaults:
                 raise UnknownHyperparameter(algo, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(
-                    f"{algo} hyperparameter {name!r} must be a finite number, "
-                    f"not {value!r}"
-                )
-            if name in ("k", "n_trees") and round(value) < 1:
-                raise ConfigError(
-                    f"{algo} hyperparameter {name!r} must be at least 1, not {value!r}"
-                )
+            what = f"{algo} hyperparameter {name!r}"
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise ConfigError(f"{what} must be a finite number, not {value!r}")
+            word, bound = HYPERPARAMETER_BOUNDS.get(name, ("at least", -math.inf))
+            seen = round(value) if isinstance(defaults[name], int) else value
+            if not (seen > bound if word == "above" else seen >= bound):
+                raise ConfigError(f"{what} must be {word} {bound}, not {value!r}")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
 
     def resolved(self) -> dict[str, float]:
         """Defaults overlaid with this spec's overrides."""
@@ -101,20 +109,21 @@ class ClassifierSpec:
         return dataclasses.replace(self, **changes)
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "hyperparameters": dict(self.hyperparameters),
-            "seed": int(self.seed),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_doc(cls, doc: Mapping[str, Any], seed: int = 0) -> "ClassifierSpec":
-        """Inverse of :meth:`to_doc`; ``seed`` applies when the doc has none."""
-        return cls(
-            algorithm=doc["algorithm"],
-            hyperparameters=dict(doc.get("hyperparameters", {})),
-            seed=int(doc.get("seed", seed)),
-        )
+    def from_doc(cls, doc: Any, seed: int = 0) -> "ClassifierSpec":
+        """Inverse of :meth:`to_doc`; a bare name stands for ``{"algorithm": name}``,
+        and ``seed`` applies when the doc has none."""
+        doc = {"algorithm": doc} if isinstance(doc, str) else doc
+        if not isinstance(doc, Mapping) or "algorithm" not in doc:
+            raise ConfigError(
+                f"must be a name or an object with an 'algorithm' key, not {doc!r}"
+            )
+        hyperparameters = doc.get("hyperparameters", {})
+        if not isinstance(hyperparameters, Mapping):
+            raise ConfigError(f"hyperparameters must be an object, not {hyperparameters!r}")
+        return cls(doc["algorithm"], hyperparameters, doc.get("seed", seed))
 
 
 @dataclass(frozen=True)

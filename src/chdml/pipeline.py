@@ -20,15 +20,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UnknownColumn
+from .errors import ConfigError, UnknownColumn, check_integer
 from .eval import EvalSummary, SmoteMode, cross_validate, holdout_evaluate
 from .features import FeatureScores, SelectionResult, score_features, select_k_best
 from .ingest import (
@@ -41,7 +42,7 @@ from .ingest import (
     missing_report,
     schema_from_json,
 )
-from .models import ClassifierSpec
+from .models import ALGORITHMS, ClassifierSpec
 from .preprocess import (
     Dataset,
     OutlierReport,
@@ -63,117 +64,106 @@ log = logging.getLogger(__name__)
 #: Environment variable consulted when the config names no input file.
 DATA_ENV_VAR = "CHD_DATA"
 
-#: Shipped defaults.  Where the underlying workflow left a choice open,
-#: the decision is recorded here next to the value it fixes.
-DEFAULT_CONFIG: Mapping[str, Any] = {
-    "input_path": None,          # falls back to the CHD_DATA environment variable
-    "schema_path": None,         # null = built-in 16-column cohort schema
-    "seed": 0,
-    # rows with gaps in the two categorical-ish columns are dropped
-    # (a column mean is meaningless there) ...
-    "drop_columns": ["BPMeds", "education"],
-    # ... while gaps in wide-range measurements take the column mean
-    "impute_columns": ["cigsPerDay", "totChol", "BMI", "heartRate", "glucose"],
-    # the three-sigma rule on the seven wide-range measurement columns
-    "outlier_method": "Sigma",
-    "outlier_columns": [
-        "cigsPerDay", "totChol", "sysBP", "diaBP", "BMI", "heartRate", "glucose",
-    ],
-    "mi_bins": 10,
-    "select_k": None,            # null = keep every predictor
-    # full-dataset resampling before folding mirrors the workflow this
-    # package reproduces; switch to "leakage-free" for honest estimates
-    "smote_mode": "paper-faithful",
-    "smote": {"k_neighbors": 5, "target_ratio": 1.0},
-    "algorithms": ["LR", "KNN", "CART", "NB", "SVM", "RF"],
-    "cv_k": 10,
-    "test_fraction": 0.2,
-    "output_dir": "chdml-out",
-}
-
 ARM_ORIGINAL = "original"
 ARM_SMOTE = "smote"
 
 
+def _typed(
+    kinds: Any, what: str, convert: Callable[[Any], Any] = lambda v: v
+) -> Callable[[str, Any], Any]:
+    """Converter that accepts only ``kinds`` (never a bool) and names the key."""
+    def check(key: str, value: Any) -> Any:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{key} must be {what}, not {value!r}")
+        return convert(value)
+    return check
+
+
+#: Column lists; ``validate_columns`` rejects an entry that names no column.
+_NAMES = _typed((list, tuple), "a list of column names", tuple)
+
+#: One converter per field: it checks the JSON type (and an integer's least
+#: value) and turns it into the field's type; ``from_dict`` builds smote and
+#: algorithms.
+_CONVERTERS: Mapping[str, Callable[[str, Any], Any]] = {
+    "input_path": _typed((str, type(None)), "a string or null"),
+    "schema_path": _typed((str, type(None)), "a string or null"),
+    "seed": check_integer,
+    "drop_columns": _NAMES,
+    "impute_columns": _NAMES,
+    "outlier_method": _typed(str, "a string"),
+    "outlier_columns": _NAMES,
+    "mi_bins": lambda key, value: check_integer(key, value, 1),
+    "select_k": lambda key, value: None if value is None else check_integer(key, value, 1),
+    "smote_mode": _typed(str, "a string", SmoteMode.from_string),
+    "smote": _typed(Mapping, "an object"),
+    "algorithms": _typed((list, tuple), "a list"),
+    "cv_k": lambda key, value: check_integer(key, value, 2),
+    "test_fraction": _typed(numbers.Real, "a number", float),
+    "output_dir": _typed(str, "a string"),
+}
+
+
+def _lists(doc: Mapping[str, Any]) -> dict[str, Any]:
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items()}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated run settings; see :data:`DEFAULT_CONFIG` for defaults."""
+    """Validated run settings.  Each default is the shipped default; where
+    the underlying workflow left a choice open, the decision is recorded
+    next to the value it fixes."""
 
-    input_path: str | None = None
-    schema_path: str | None = None
-    seed: int = 0
-    drop_columns: tuple[str, ...] = ()
-    impute_columns: tuple[str, ...] = ()
+    input_path: str | None = None  # None falls back to the CHD_DATA environment variable
+    schema_path: str | None = None  # None = built-in 16-column cohort schema
+    seed: int = 0  # also the seed of smote and of each algorithm that sets none
+    # rows with gaps in the two categorical-ish columns are dropped
+    # (a column mean is meaningless there) ...
+    drop_columns: tuple[str, ...] = ("BPMeds", "education")
+    # ... while gaps in wide-range measurements take the column mean
+    impute_columns: tuple[str, ...] = ("cigsPerDay", "totChol", "BMI", "heartRate", "glucose")
+    # the three-sigma rule on the seven wide-range measurement columns
     outlier_method: str = "Sigma"
-    outlier_columns: tuple[str, ...] = ()
+    outlier_columns: tuple[str, ...] = (
+        "cigsPerDay", "totChol", "sysBP", "diaBP", "BMI", "heartRate", "glucose",
+    )
     mi_bins: int = 10
-    select_k: int | None = None
+    select_k: int | None = None  # None = keep every predictor
+    # full-dataset resampling before folding mirrors the workflow this
+    # package reproduces; switch to "leakage-free" for honest estimates
     smote_mode: SmoteMode = SmoteMode.PAPER_FAITHFUL
-    smote: SmoteParams = field(default_factory=SmoteParams)
-    algorithms: tuple[ClassifierSpec, ...] = ()
+    smote: SmoteParams = SmoteParams()
+    algorithms: tuple[ClassifierSpec, ...] = tuple(map(ClassifierSpec, ALGORITHMS))
     cv_k: int = 10
     test_fraction: float = 0.2
     output_dir: str = "chdml-out"
 
     def __post_init__(self) -> None:
-        if self.cv_k < 2:
-            raise ConfigError("cv_k must be at least 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be strictly between 0 and 1")
-        if self.mi_bins < 1:
-            raise ConfigError("mi_bins must be at least 1")
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one classifier")
         object.__setattr__(self, "outlier_method", normalize_method(self.outlier_method))
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "PipelineConfig":
-        merged = dict(DEFAULT_CONFIG)
-        unknown = set(raw) - set(merged)
+        """Build from a JSON document; absent keys take the field defaults."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(raw)
-
-        smote_raw = dict(merged["smote"] or {})
-        smote_raw.setdefault("seed", merged["seed"])
-        if "nominal_columns" in smote_raw:
-            smote_raw["nominal_columns"] = tuple(smote_raw["nominal_columns"])
+        kwargs = {key: _CONVERTERS[key](key, value) for key, value in raw.items()}
+        seed = kwargs.get("seed", cls.seed)  # the default of every other seed
         try:
-            smote_params = SmoteParams(**smote_raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad smote settings: {exc}") from None
-
+            kwargs["smote"] = SmoteParams(**{"seed": seed, **kwargs.get("smote", {})})
+        except (ConfigError, TypeError) as exc:  # TypeError: an unknown key
+            raise ConfigError(f"smote {exc}") from None
         specs = []
-        for position, entry in enumerate(merged["algorithms"]):
-            if isinstance(entry, str):
-                entry = {"algorithm": entry}
-            elif not isinstance(entry, Mapping) or "algorithm" not in entry:
-                raise ConfigError(
-                    f"algorithms[{position}] must be a name or an object with an "
-                    f"'algorithm' key, not {entry!r}"
-                )
+        for position, entry in enumerate(kwargs.get("algorithms", ALGORITHMS)):
             try:
-                specs.append(ClassifierSpec.from_doc(entry, seed=merged["seed"]))
+                specs.append(ClassifierSpec.from_doc(entry, seed=seed))
             except ConfigError as exc:
                 raise ConfigError(f"algorithms[{position}] {exc}") from None
-
-        return cls(
-            input_path=merged["input_path"],
-            schema_path=merged["schema_path"],
-            seed=int(merged["seed"]),
-            drop_columns=tuple(merged["drop_columns"]),
-            impute_columns=tuple(merged["impute_columns"]),
-            outlier_method=str(merged["outlier_method"]),
-            outlier_columns=tuple(merged["outlier_columns"]),
-            mi_bins=int(merged["mi_bins"]),
-            select_k=None if merged["select_k"] is None else int(merged["select_k"]),
-            smote_mode=SmoteMode.from_string(merged["smote_mode"]),
-            smote=smote_params,
-            algorithms=tuple(specs),
-            cv_k=int(merged["cv_k"]),
-            test_fraction=float(merged["test_fraction"]),
-            output_dir=str(merged["output_dir"]),
-        )
+        return cls(**{**kwargs, "algorithms": tuple(specs)})
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -188,29 +178,12 @@ class PipelineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Echo sufficient to re-run: feeding this back reproduces the run."""
-        return {
-            "input_path": self.input_path,
-            "schema_path": self.schema_path,
-            "seed": int(self.seed),
-            "drop_columns": list(self.drop_columns),
-            "impute_columns": list(self.impute_columns),
-            "outlier_method": self.outlier_method,
-            "outlier_columns": list(self.outlier_columns),
-            "mi_bins": int(self.mi_bins),
-            "select_k": self.select_k,
+        return _lists({
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "smote_mode": self.smote_mode.value,
-            "smote": {
-                "k_neighbors": int(self.smote.k_neighbors),
-                "target_ratio": float(self.smote.target_ratio),
-                "seed": int(self.smote.seed),
-                "round_nominal": bool(self.smote.round_nominal),
-                "nominal_columns": list(self.smote.nominal_columns),
-            },
-            "algorithms": [s.to_doc() for s in self.algorithms],
-            "cv_k": int(self.cv_k),
-            "test_fraction": float(self.test_fraction),
-            "output_dir": self.output_dir,
-        }
+            "smote": _lists(asdict(self.smote)),
+            "algorithms": [spec.to_doc() for spec in self.algorithms],
+        })
 
     def resolve_input(self) -> str:
         if self.input_path:
@@ -233,6 +206,10 @@ class PipelineConfig:
         d = len(schema.predictor_names)
         if self.select_k is not None and not 1 <= self.select_k <= d:
             raise ConfigError(f"select_k must be in [1, {d}]")
+
+
+#: The shipped defaults as a config document: the echo of ``PipelineConfig()``.
+DEFAULT_CONFIG: Mapping[str, Any] = PipelineConfig().to_dict()
 
 
 @dataclass

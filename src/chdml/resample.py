@@ -12,11 +12,12 @@ so equal seeds give byte-identical output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingleClass, TooFewMinority
+from .errors import ConfigError, SingleClass, TooFewMinority, check_integer
 from .preprocess import Dataset, sq_distance_chunks
 
 __all__ = ["SmoteParams", "minority_neighbors", "smote"]
@@ -40,10 +41,22 @@ class SmoteParams:
     nominal_columns: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be at least 1")
-        if not self.target_ratio > 0:
-            raise ConfigError("target_ratio must be positive")
+        ratio, nominal = self.target_ratio, self.nominal_columns
+        real = isinstance(ratio, numbers.Real) and not isinstance(ratio, bool)
+        if not (real and 0 < ratio < math.inf):
+            raise ConfigError(f"target_ratio must be a positive number, not {ratio!r}")
+        if self.round_nominal not in (False, True):
+            raise ConfigError(f"round_nominal must be a bool, not {self.round_nominal!r}")
+        if not isinstance(nominal, (list, tuple)):
+            raise ConfigError(f"nominal_columns must be a list of indices, not {nominal!r}")
+        for name, value in (
+            ("k_neighbors", check_integer("k_neighbors", self.k_neighbors, 1)),
+            ("target_ratio", float(ratio)),
+            ("seed", check_integer("seed", self.seed)),
+            ("round_nominal", bool(self.round_nominal)),
+            ("nominal_columns", tuple(check_integer("nominal_columns", c) for c in nominal)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
@@ -99,6 +112,8 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
         synth[t] = X_min[base] + gap * (X_min[pick] - X_min[base])
     if params.round_nominal and params.nominal_columns:
         cols = list(params.nominal_columns)
+        if max(cols) >= dataset.n_features:  # SmoteParams rejects a negative index
+            raise ConfigError(f"nominal_columns index {max(cols)} is out of range")
         synth[:, cols] = np.rint(synth[:, cols])
 
     features = np.vstack([dataset.features, synth])

@@ -196,8 +196,18 @@ class TestExitCodes:
             42,
             {"algorithm": "KNN", "hyperparameters": {"k": "abc"}},
             {"algorithm": "RF", "hyperparameters": {"n_trees": -5}},
+            {"algorithm": "KNN", "hyperparameters": [1, 2]},
+            {"algorithm": "KNN", "seed": "abc"},
+            {"algorithm": "SVM", "hyperparameters": {"C": -1}},
+            {"algorithm": "LR", "hyperparameters": {"step": 0}},
+            {"algorithm": "SVM", "hyperparameters": {"gamma": -2}},
+            {"algorithm": "KNN", "hyperparameters": {"k": True}},
         ],
-        ids=["no-algorithm-key", "not-an-object", "text-k", "negative-n-trees"],
+        ids=[
+            "no-algorithm-key", "not-an-object", "text-k", "negative-n-trees",
+            "hyperparameters-not-object", "text-seed", "negative-C", "zero-step",
+            "negative-gamma", "bool-k",
+        ],
     )
     def test_bad_algorithm_entry_is_config_error(self, tmp_path, capsys, entry):
         config = with_config(tmp_path, algorithms=["NB", entry])
@@ -205,6 +215,35 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: algorithms[1] ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"cv_k": "abc"}, "cv_k"),
+            ({"seed": "x"}, "seed"),
+            ({"drop_columns": 5}, "drop_columns"),
+            ({"mi_bins": None}, "mi_bins"),
+            ({"test_fraction": "a"}, "test_fraction"),
+            ({"select_k": "a"}, "select_k"),
+            ({"smote": [1, 2]}, "smote"),
+            ({"cv_k": 2.7}, "cv_k"),
+            ({"output_dir": None}, "output_dir"),
+            ({"algorithms": "LR"}, "algorithms"),
+            ({"smote": {"k_neighbors": 2.5}}, "k_neighbors"),
+        ],
+        ids=[
+            "text-cv_k", "text-seed", "number-drop_columns", "null-mi_bins",
+            "text-test_fraction", "text-select_k", "list-smote", "fractional-cv_k",
+            "null-output_dir", "text-algorithms", "fractional-k_neighbors",
+        ],
+    )
+    def test_bad_config_value_is_one_line(self, tmp_path, capsys, overrides, key):
+        config = with_config(tmp_path, **overrides)
+        assert main(["evaluate", "--config", config, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"{key} must be " in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(

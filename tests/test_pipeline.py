@@ -8,7 +8,9 @@ import pytest
 import chdml
 from chdml.errors import ConfigError
 from chdml.eval import SmoteMode
-from chdml.pipeline import ARM_ORIGINAL, ARM_SMOTE, PipelineConfig, run_pipeline
+from chdml.pipeline import (
+    ARM_ORIGINAL, ARM_SMOTE, DEFAULT_CONFIG, PipelineConfig, run_pipeline,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,6 +102,46 @@ class TestConfig:
         config = PipelineConfig.from_dict({"cv_k": 4, "seed": 2})
         again = PipelineConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_field_defaults_are_the_shipped_defaults(self):
+        assert PipelineConfig() == PipelineConfig.from_dict({})
+        assert PipelineConfig() == PipelineConfig.from_dict(DEFAULT_CONFIG)
+
+    def test_every_key_round_trips(self):
+        raw = {
+            "input_path": "cohort.csv",
+            "schema_path": "schema.json",
+            "seed": 4,
+            "drop_columns": ["BPMeds"],
+            "impute_columns": ["glucose"],
+            "outlier_method": "iqr",
+            "outlier_columns": ["BMI"],
+            "mi_bins": 5,
+            "select_k": 3,
+            "smote_mode": "leakage-free",
+            "smote": {"target_ratio": 1, "nominal_columns": [0]},
+            "algorithms": ["NB", {"algorithm": "KNN", "hyperparameters": {"k": 3}, "seed": 2}],
+            "cv_k": 4,
+            "test_fraction": 0.25,
+            "output_dir": "elsewhere",
+        }
+        config = PipelineConfig.from_dict(raw)
+        echo = config.to_dict()
+        assert list(echo) == list(raw)
+        assert PipelineConfig.from_dict(echo) == config
+        assert echo["outlier_method"] == "IQR"
+        assert echo["smote"] == {
+            "k_neighbors": 5,
+            "target_ratio": 1.0,
+            "seed": 4,
+            "round_nominal": False,
+            "nominal_columns": [0],
+        }
+        assert '"target_ratio": 1.0' in json.dumps(echo)
+        assert echo["algorithms"] == [
+            {"algorithm": "NB", "hyperparameters": {}, "seed": 4},
+            {"algorithm": "KNN", "hyperparameters": {"k": 3}, "seed": 2},
+        ]
 
     def test_unknown_outlier_column_rejected(self):
         config = PipelineConfig.from_dict({"outlier_columns": ["nope"]})

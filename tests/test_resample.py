@@ -144,6 +144,12 @@ class TestSmote:
         synth = out.features[8:]
         assert np.array_equal(synth, np.rint(synth))
 
+    def test_round_nominal_index_out_of_range(self):
+        data = toy(n_major=8, n_minor=4)
+        params = SmoteParams(k_neighbors=2, round_nominal=True, nominal_columns=(0, 7))
+        with pytest.raises(ConfigError, match="nominal_columns index 7 "):
+            smote(data, params)
+
 
 def test_fixture_smote_counts(fixture_dataset):
     out = smote(fixture_dataset, SmoteParams(k_neighbors=5, seed=0))
