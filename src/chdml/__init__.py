@@ -9,46 +9,17 @@ configuration-driven pipeline with a CLI.
 
 Everything stochastic is seeded; a pipeline run is a pure function of its
 configuration and input file.
+
+The top level exports the names README documents and the three error
+families; every other name lives in its submodule (``chdml.eval.roc_auc``).
 """
 
-from . import eval as evaluation
 from .errors import ChdmlError, ConfigError, DataError
-from .eval import (
-    EvalSummary,
-    RocCurve,
-    SmoteMode,
-    cross_validate,
-    grid_search,
-    holdout_evaluate,
-    roc_auc,
-    roc_curve,
-    stratified_kfold,
-    stratified_split,
-)
-from .features import (
-    FeatureScores,
-    SelectionResult,
-    discretize,
-    mutual_information,
-    score_features,
-    select_k_best,
-)
-from .ingest import (
-    FRAMINGHAM,
-    CohortTable,
-    FeatureKind,
-    MissingReport,
-    Schema,
-    class_balance,
-    load_csv,
-    missing_report,
-    schema_from_json,
-    write_csv,
-)
+from .eval import SmoteMode, cross_validate, grid_search
+from .features import score_features
+from .ingest import class_balance, load_csv, missing_report, write_csv
 from .models import (
-    ALGORITHMS,
     ClassifierSpec,
-    Prediction,
     fit,
     load_model,
     model_from_json,
@@ -57,22 +28,9 @@ from .models import (
     save_model,
     score,
 )
-from .pipeline import DEFAULT_CONFIG, PipelineConfig, RunReport, emit_tables, run_pipeline
-from .preprocess import (
-    ColumnStats,
-    Dataset,
-    OutlierReport,
-    column_stats,
-    drop_rows_missing,
-    impute_mean,
-    iqr_outlier_mask,
-    pearson_correlation,
-    remove_outliers,
-    sigma_outlier_mask,
-    standardize,
-    to_dataset,
-)
-from .resample import SmoteParams, minority_neighbors, smote
+from .pipeline import DEFAULT_CONFIG, PipelineConfig
+from .preprocess import drop_rows_missing, impute_mean, remove_outliers, to_dataset
+from .resample import SmoteParams
 
 __version__ = "0.1.0"
 
@@ -83,44 +41,21 @@ __all__ = [
     "ConfigError",
     "DataError",
     # ingest
-    "FRAMINGHAM",
-    "CohortTable",
-    "FeatureKind",
-    "MissingReport",
-    "Schema",
     "class_balance",
     "load_csv",
     "missing_report",
-    "schema_from_json",
     "write_csv",
     # preprocess
-    "ColumnStats",
-    "Dataset",
-    "OutlierReport",
-    "column_stats",
     "drop_rows_missing",
     "impute_mean",
-    "iqr_outlier_mask",
-    "pearson_correlation",
     "remove_outliers",
-    "sigma_outlier_mask",
-    "standardize",
     "to_dataset",
     # features
-    "FeatureScores",
-    "SelectionResult",
-    "discretize",
-    "mutual_information",
     "score_features",
-    "select_k_best",
     # resample
     "SmoteParams",
-    "minority_neighbors",
-    "smote",
     # models
-    "ALGORITHMS",
     "ClassifierSpec",
-    "Prediction",
     "fit",
     "score",
     "predict",
@@ -129,21 +64,10 @@ __all__ = [
     "save_model",
     "load_model",
     # eval
-    "evaluation",
-    "EvalSummary",
-    "RocCurve",
     "SmoteMode",
     "cross_validate",
     "grid_search",
-    "holdout_evaluate",
-    "roc_auc",
-    "roc_curve",
-    "stratified_kfold",
-    "stratified_split",
     # pipeline
     "DEFAULT_CONFIG",
     "PipelineConfig",
-    "RunReport",
-    "run_pipeline",
-    "emit_tables",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .pipeline import (
     evaluate_arm,
     feature_stage,
     run_pipeline,
+    write_json,
 )
 
 # perfbench/spans.py wraps these stage functions by looking them up in this
@@ -100,15 +100,11 @@ def _cmd_clean(config: PipelineConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(cohort.table, str(out / "cleaned.csv"))
-    (out / "missing_report.json").write_text(missing.to_json() + "\n", encoding="utf-8")
-    (out / "outlier_report.json").write_text(outliers.to_json() + "\n", encoding="utf-8")
-    (out / "class_balance.json").write_text(
-        json.dumps(
-            {"raw": list(cohort.balance_raw), "clean": list(cohort.balance_clean)},
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_json(out / "missing_report.json", missing.to_doc())
+    write_json(out / "outlier_report.json", outliers.to_doc())
+    write_json(
+        out / "class_balance.json",
+        {"raw": list(cohort.balance_raw), "clean": list(cohort.balance_clean)},
     )
     print(f"cleaned rows: {cohort.table.row_count} of {cohort.rows_loaded}")
     print(f"outliers removed ({outliers.method}): {outliers.total} flagged cells")
@@ -120,7 +116,7 @@ def _cmd_score_features(config: PipelineConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "feature_scores.txt").write_text(scores.as_text(), encoding="utf-8")
-    (out / "feature_scores.json").write_text(scores.to_json() + "\n", encoding="utf-8")
+    write_json(out / "feature_scores.json", scores.to_doc())
     print(scores.as_text(), end="")
     return EXIT_OK
 
@@ -141,10 +137,7 @@ def _cmd_evaluate(config: PipelineConfig) -> int:
         )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "eval.json").write_text(
-        json.dumps({"mode": mode.value, "results": results}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "eval.json", {"mode": mode.value, "results": results})
     return EXIT_OK
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "UnknownColumn",
     "AllMissingColumn",
     "TooFewValues",
-    "ZeroVarianceColumn",
     "LengthMismatch",
     "KOutOfRange",
     "TooFewMinority",
@@ -115,12 +114,6 @@ class AllMissingColumn(DataError):
 
 class TooFewValues(DataError):
     """Not enough values to compute the requested statistic."""
-
-
-class ZeroVarianceColumn(DataError):
-    def __init__(self, name: str):
-        super().__init__(f"column {name!r} has zero variance")
-        self.name = name
 
 
 # --- features -------------------------------------------------------------

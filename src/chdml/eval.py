@@ -38,11 +38,9 @@ from .rng import child_seed, generator
 __all__ = [
     "SmoteMode",
     "EvalSummary",
-    "RocCurve",
     "stratified_split",
     "stratified_kfold",
     "roc_auc",
-    "roc_curve",
     "iter_cv_splits",
     "cross_validate",
     "holdout_evaluate",
@@ -51,8 +49,6 @@ __all__ = [
 
 #: Algorithms that train and score on z-scored features.
 STANDARDIZED_ALGORITHMS = frozenset({"LR", "SVM", "KNN"})
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 class SmoteMode(enum.Enum):
@@ -96,24 +92,6 @@ class EvalSummary:
             "fold_converged": [bool(c) for c in self.fold_converged],
             "holdout_auc": None if self.holdout_auc is None else float(self.holdout_auc),
         }
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Operating points swept over descending score thresholds."""
-
-    fpr: np.ndarray
-    tpr: np.ndarray
-    thresholds: np.ndarray
-
-    @property
-    def area(self) -> float:
-        return float(_trapezoid(self.tpr, self.fpr))
-
-    def to_csv(self) -> str:
-        lines = ["fpr,tpr"]
-        lines += [f"{f!r},{t!r}" for f, t in zip(self.fpr, self.tpr)]
-        return "\n".join(lines) + "\n"
 
 
 def _class_indices(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,29 +182,6 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 
-def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
-    """Operating points at every distinct score, thresholds descending."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise SingleClass("a ROC curve needs both classes present")
-    order = np.argsort(-s, kind="stable")
-    sorted_scores = s[order]
-    sorted_pos = (y[order] == 1).astype(np.float64)
-    # last occurrence of each distinct score in descending order
-    boundary = np.flatnonzero(
-        np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    )
-    tp = np.cumsum(sorted_pos)[boundary]
-    fp = (boundary + 1) - tp
-    tpr = np.concatenate([[0.0], tp / n1])
-    fpr = np.concatenate([[0.0], fp / n0])
-    thresholds = np.concatenate([[np.inf], sorted_scores[boundary]])
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
-
-
 def iter_cv_splits(
     dataset: Dataset,
     k: int,
@@ -261,10 +216,7 @@ def _fit_and_score(
     """AUC, plain accuracy, and convergence of ``spec`` fitted on ``train``
     and scored on ``test``; the caller sets the spec's seed."""
     if spec.algorithm in STANDARDIZED_ALGORITHMS:
-        train, test = (
-            standardize(train, train, keep_constant=True),
-            standardize(train, test, keep_constant=True),
-        )
+        train, test = standardize(train, train), standardize(train, test)
     model = models.fit(spec, train)
     scores = models.score_many(model, test.features)
     auc = roc_auc(scores, test.labels)

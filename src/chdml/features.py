@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -42,9 +41,6 @@ class FeatureScores:
             {"index": i, "name": n, "score": float(s)}
             for i, (n, s) in enumerate(zip(self.names, self.scores))
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
 
 
 @dataclass(frozen=True)

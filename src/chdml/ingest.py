@@ -230,9 +230,6 @@ class MissingReport:
             "total": self.total,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
-
 
 def _parse_cell(text: str, col: Column, row_number: int) -> float:
     token = text.strip()
@@ -287,25 +284,30 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     Raises :class:`MissingColumn`, :class:`DuplicateColumn`,
     :class:`UnexpectedColumn` for header problems and
     :class:`UnparseableCell` for cell-level problems (with a 1-based data
-    row number).
+    row number), and :class:`DataError` naming ``path`` for a file that is
+    not UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty (no header row)") from None
-        positions = _match_header(header, schema)
-        cells: list[list[float]] = [[] for _ in schema.columns]
-        for row_number, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue  # ignore blank lines
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {row_number} has {len(row)} fields, expected {len(header)}"
-                )
-            for col, pos, bucket in zip(schema.columns, positions, cells):
-                bucket.append(_parse_cell(row[pos], col, row_number))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty (no header row)") from None
+            positions = _match_header(header, schema)
+            cells: list[list[float]] = [[] for _ in schema.columns]
+            for row_number, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue  # ignore blank lines
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_number} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                for col, pos, bucket in zip(schema.columns, positions, cells):
+                    bucket.append(_parse_cell(row[pos], col, row_number))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     columns = {
         col.name: np.asarray(bucket, dtype=np.float64)
         for col, bucket in zip(schema.columns, cells)
@@ -331,6 +333,16 @@ def write_csv(table: CohortTable, path: str) -> None:
             )
 
 
+def read_json(path: str) -> Any:
+    """Parse a config or schema file; :class:`ConfigError` naming ``path``
+    when it is not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+
+
 def schema_from_json(path: str) -> Schema:
     """Load a schema from a JSON array of ``{name, kind, target}`` objects.
 
@@ -340,11 +352,7 @@ def schema_from_json(path: str) -> Schema:
     entry's index; a schema without exactly one binary target, or with a
     repeated name, raises :class:`ConfigError` naming the path.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: schema must be a JSON array")
     cols = []

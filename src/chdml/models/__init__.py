@@ -157,9 +157,16 @@ def model_to_json(model: TrainedModel) -> str:
 
 
 def model_from_json(text: str) -> TrainedModel:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError("malformed model file: not a JSON object")
     if doc.get("format") != FORMAT_VERSION:
         raise DataError(f"unsupported model format {doc.get('format')!r}")
+    if "spec" not in doc or not isinstance(doc.get("parameters"), dict):
+        raise DataError('malformed model file: needs "spec" and a "parameters" object')
     spec = ClassifierSpec.from_doc(doc["spec"])
     params = {name: _decode(v) for name, v in doc["parameters"].items()}
     if spec.algorithm == "SVM" and "n_features" not in params:

@@ -40,6 +40,7 @@ from .ingest import (
     class_balance,
     load_csv,
     missing_report,
+    read_json,
     schema_from_json,
 )
 from .models import ALGORITHMS, ClassifierSpec
@@ -167,11 +168,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
@@ -269,9 +266,6 @@ class RunReport:
                 for arm, by_algo in self.cv.items()
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
 
 
 def _five_number(values: Sequence[float]) -> tuple[float, float, float, float, float]:
@@ -452,4 +446,9 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
     (out / "feature_scores.txt").write_text(
         report.feature_scores.as_text(), encoding="utf-8"
     )
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    write_json(out / "report.json", report.to_doc())
+
+
+def write_json(path: Path, doc: Any) -> None:
+    """Write ``doc`` as a JSON report file: 2-space indent, final newline, UTF-8."""
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

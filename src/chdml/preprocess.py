@@ -2,13 +2,12 @@
 
 Covers per-column summaries (quartiles, skewness), mean imputation,
 dropping rows with missing cells, two univariate outlier rules (IQR fence
-and three-sigma), Pearson correlation, z-score standardization, and the
+and three-sigma), z-score standardization, and the
 squared-distance kernel shared by SMOTE, KNN and the SVM.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -21,7 +20,6 @@ from .errors import (
     EmptyColumn,
     TooFewValues,
     UnknownColumn,
-    ZeroVarianceColumn,
 )
 from .ingest import CohortTable, FeatureKind
 
@@ -35,7 +33,6 @@ __all__ = [
     "iqr_outlier_mask",
     "sigma_outlier_mask",
     "remove_outliers",
-    "pearson_correlation",
     "standardize",
     "to_dataset",
     "select_features",
@@ -86,9 +83,6 @@ class OutlierReport:
             "columns": {k: int(v) for k, v in self.columns.items()},
             "total": int(self.total),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,30 +269,11 @@ def remove_outliers(
     return cleaned, report
 
 
-def pearson_correlation(dataset: Dataset) -> np.ndarray:
-    """Pairwise Pearson correlation of the feature columns.
-
-    Raises :class:`ZeroVarianceColumn` naming the first constant column.
-    """
-    X = dataset.features
-    variances = X.var(axis=0)
-    for i, v in enumerate(variances):
-        if v == 0.0:
-            raise ZeroVarianceColumn(dataset.feature_names[i])
-    corr = np.corrcoef(X, rowvar=False)
-    corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
-def standardize(
-    train: Dataset, apply_to: Dataset, *, keep_constant: bool = False
-) -> Dataset:
+def standardize(train: Dataset, apply_to: Dataset) -> Dataset:
     """Z-score ``apply_to`` using mean and sample std taken from ``train``.
 
     The statistics always come from ``train`` only, so applying train
-    statistics to unseen data leaks nothing.  A constant train column
-    raises :class:`ZeroVarianceColumn`, or with ``keep_constant`` is
+    statistics to unseen data leaks nothing.  A constant train column is
     centred and left unscaled (divisor 1), since resampled evaluation
     folds can legitimately contain one.
     """
@@ -306,12 +281,7 @@ def standardize(
         raise DataError("train and apply_to have different feature counts")
     mu = train.features.mean(axis=0)
     sigma = train.features.std(axis=0, ddof=1)
-    if keep_constant:
-        sigma = np.where(sigma > 0.0, sigma, 1.0)
-    else:
-        for i, s in enumerate(sigma):
-            if s == 0.0 or not np.isfinite(s):
-                raise ZeroVarianceColumn(train.feature_names[i])
+    sigma = np.where(sigma > 0.0, sigma, 1.0)
     return Dataset(
         features=(apply_to.features - mu) / sigma,
         labels=apply_to.labels,

@@ -31,7 +31,6 @@ from chdml.eval import (
     holdout_evaluate,
     iter_cv_splits,
     roc_auc,
-    roc_curve,
 )
 from chdml.features import mutual_information
 from chdml.models import ClassifierSpec, fit, score_many
@@ -84,7 +83,6 @@ def test_c01_auc_pair_counting():
         expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
 
         assert roc_auc(scores, labels) == expected
-        assert roc_curve(scores, labels).area == pytest.approx(expected, abs=1e-12)
         checked += 1
 
 

@@ -190,6 +190,28 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, code, prefix",
+        [("csv", 3, "data error: "), ("config", 2, "configuration error: "),
+         ("schema", 2, "configuration error: ")],
+        ids=["csv", "config", "schema"],
+    )
+    def test_non_utf8_file_is_one_line(self, tmp_path, capsys, kind, code, prefix):
+        bad = tmp_path / "bad.bin"
+        if kind == "csv":
+            bad.write_bytes(Path(FIXTURE).read_bytes().replace(b"\n1,50,", b"\n1,5\xff,", 1))
+            config = with_config(tmp_path, input_path=str(bad))
+        elif kind == "config":
+            bad.write_bytes(b'{"seed": 7, "output_dir": "\xff"}')
+            config = str(bad)
+        else:
+            bad.write_bytes(b'[{"name": "\xff", "kind": "binary"}]')
+            config = with_config(tmp_path, schema_path=str(bad))
+        assert main(["clean", "--config", config, "--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}{bad}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "entry",
         [
             {"hyperparameters": {}},

@@ -12,7 +12,6 @@ from chdml.eval import (
     holdout_evaluate,
     iter_cv_splits,
     roc_auc,
-    roc_curve,
     stratified_kfold,
     stratified_split,
 )
@@ -61,36 +60,6 @@ class TestRocAuc:
             ties = (pos[:, None] == neg[None, :]).sum()
             expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
             assert roc_auc(scores, labels) == pytest.approx(expected, abs=1e-12)
-
-
-class TestRocCurve:
-    def test_four_point_fixture(self):
-        curve = roc_curve(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
-        assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
-        assert curve.tpr.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
-        assert curve.area == pytest.approx(0.75, abs=1e-15)
-
-    def test_area_agrees_with_auc(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            scores = np.round(rng.random(40), 1)
-            labels = rng.integers(0, 2, 40)
-            if labels.min() == labels.max():
-                continue
-            curve = roc_curve(scores, labels)
-            assert curve.area == pytest.approx(roc_auc(scores, labels), abs=1e-12)
-
-    def test_starts_at_origin_ends_at_one(self):
-        curve = roc_curve(np.array([0.2, 0.7]), np.array([0, 1]))
-        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
-        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
-
-    def test_csv_round_trip(self):
-        curve = roc_curve(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
-        text = curve.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "fpr,tpr"
-        assert len(lines) == 1 + len(curve.fpr)
 
 
 def two_blobs(n0=30, n1=20, seed=0):

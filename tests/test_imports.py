@@ -1,9 +1,12 @@
-"""Every name a module imports is used, re-exported or marked as deliberate."""
+"""Every name a module imports is used, re-exported or marked as deliberate,
+and every module-level definition is used or documented."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "chdml"
+README = SRC.parent.parent / "README.md"
 
 MARKER = "# noqa: F401"
 
@@ -47,3 +50,27 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not unused
+
+
+def test_no_dead_definitions():
+    """Each module-level function or class is loaded somewhere in the package
+    (as a name or an attribute; imports and ``__all__`` do not count) or is
+    named in README."""
+    defined, loaded = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{path.relative_to(SRC)}:{node.lineno}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    readme = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    dead = sorted(
+        f"{where}: {name}"
+        for name, where in defined
+        if name not in loaded and name not in readme
+    )
+    assert not dead

@@ -1,6 +1,5 @@
 """CSV loading, schema validation, and the missing-value report."""
 
-import json
 import math
 
 import numpy as np
@@ -161,7 +160,7 @@ def test_missing_report_counts(tmp_path):
     assert report.counts["glucose"] == 1
     assert report.counts["age"] == 0
     assert report.total == 1
-    doc = json.loads(report.to_json())
+    doc = report.to_doc()
     assert doc["method"] == "missing"
     assert doc["total"] == 1
 

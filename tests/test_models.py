@@ -356,6 +356,22 @@ class TestDispatch:
         with pytest.raises(DataError, match="malformed NB model"):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: "{oops",
+            lambda doc: json.dumps([doc]),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "spec"}),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "parameters"}),
+            lambda doc: json.dumps({**doc, "parameters": [1, 2]}),
+        ],
+        ids=["not-json", "not-object", "no-spec", "no-parameters", "parameters-not-object"],
+    )
+    def test_malformed_file_is_data_error(self, tamper):
+        doc = json.loads(model_to_json(fit(ClassifierSpec("NB"), blobs(seed=14))))
+        with pytest.raises(DataError, match="malformed model file"):
+            model_from_json(tamper(doc))
+
     def test_dimension_mismatch(self):
         data = blobs(seed=15)
         model = fit(ClassifierSpec("NB"), data)

@@ -14,13 +14,11 @@ from chdml.errors import (
     ConfigError,
     DataError,
     EmptyColumn,
-    ZeroVarianceColumn,
 )
 from chdml.preprocess import (
     Dataset,
     column_stats,
     iqr_outlier_mask,
-    pearson_correlation,
     sigma_outlier_mask,
     sq_distance_chunks,
     standardize,
@@ -160,15 +158,10 @@ class TestStandardize:
         applied = standardize(train, other)
         assert applied.features[0, 0] == 0.0
 
-    def test_zero_variance_rejected(self):
-        train = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([0, 1]))
-        with pytest.raises(ZeroVarianceColumn):
-            standardize(train, train)
-
     def test_keep_constant_centres_without_scaling(self):
         train = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([0, 1]))
         other = Dataset(np.array([[4.0, 2.5]]), np.array([1]))
-        applied = standardize(train, other, keep_constant=True)
+        applied = standardize(train, other)
         assert applied.features.tolist() == [[3.0, 0.0]]
 
 
@@ -199,26 +192,6 @@ class TestSqDistanceChunks:
             for row_a in A
         ]
         assert all_sq_distances(A, B).tolist() == expected
-
-
-class TestPearson:
-    def test_perfect_correlation(self):
-        x = np.arange(10.0)
-        data = Dataset(np.column_stack([x, 2 * x + 1]), np.zeros(10, dtype=int))
-        mat = pearson_correlation(data)
-        assert mat[0, 1] == pytest.approx(1.0)
-        assert mat[0, 0] == 1.0
-
-    def test_anticorrelation(self):
-        x = np.arange(10.0)
-        data = Dataset(np.column_stack([x, -x]), np.zeros(10, dtype=int))
-        mat = pearson_correlation(data)
-        assert mat[0, 1] == pytest.approx(-1.0)
-
-    def test_zero_variance_rejected(self):
-        data = Dataset(np.array([[1.0, 1.0], [2.0, 1.0]]), np.array([0, 1]))
-        with pytest.raises(ZeroVarianceColumn):
-            pearson_correlation(data)
 
 
 class TestDataset:
