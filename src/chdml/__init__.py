@@ -10,8 +10,9 @@ configuration-driven pipeline with a CLI.
 Everything stochastic is seeded; a pipeline run is a pure function of its
 configuration and input file.
 
-The top level exports the names README documents and the three error
-families; every other name lives in its submodule (``chdml.eval.roc_auc``).
+The top level exports the names README documents and the two error
+families with their base; every other name lives in its submodule
+(``chdml.eval.roc_auc``).
 """
 
 from .errors import ChdmlError, ConfigError, DataError

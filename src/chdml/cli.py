@@ -21,7 +21,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import ChdmlError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .eval import SmoteMode
 from .ingest import write_csv
 from .pipeline import (
@@ -176,9 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ChdmlError as exc:  # anything package-specific but uncategorized
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import models
-from .errors import ClassTooSmall, ConfigError, SingleClass
+from .errors import ConfigError, DataError
 from .models import ClassifierSpec
 from .preprocess import Dataset, standardize, take_rows
 from .resample import SmoteParams, smote
@@ -104,7 +104,7 @@ def stratified_split(
     """Seeded train/test split preserving the class ratio.
 
     Per class, round(test_fraction * class count) rows go to the test
-    side (round half up).  Raises :class:`ClassTooSmall` when a class has
+    side (round half up).  Raises :class:`DataError` when a class has
     fewer than 2 rows or would end up entirely on one side.
     """
     if not 0.0 < test_fraction < 1.0:
@@ -114,10 +114,10 @@ def stratified_split(
     for cls_idx in _class_indices(dataset.labels):
         n_c = cls_idx.size
         if n_c < 2:
-            raise ClassTooSmall("each class needs at least 2 rows to split")
+            raise DataError("each class needs at least 2 rows to split")
         n_test = int(np.floor(test_fraction * n_c + 0.5))
         if n_test == 0 or n_test == n_c:
-            raise ClassTooSmall(
+            raise DataError(
                 f"test_fraction {test_fraction} leaves a class empty on one side"
             )
         shuffled = rng.permutation(cls_idx)
@@ -132,7 +132,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     """Seeded k disjoint index folds with per-class round-robin dealing.
 
     Per class the fold sizes differ by at most one; folds partition all
-    row indices.  Raises :class:`ClassTooSmall` when a class has fewer
+    row indices.  Raises :class:`DataError` when a class has fewer
     than k rows.
     """
     if k < 2:
@@ -141,7 +141,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls_idx in _class_indices(dataset.labels):
         if cls_idx.size < k:
-            raise ClassTooSmall(f"each class needs at least {k} rows for {k} folds")
+            raise DataError(f"each class needs at least {k} rows for {k} folds")
         shuffled = rng.permutation(cls_idx)
         for f in range(k):
             folds[f].append(shuffled[f::k])
@@ -176,7 +176,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n1 = int((y == 1).sum())
     n0 = int((y == 0).sum())
     if n1 == 0 or n0 == 0:
-        raise SingleClass("ROC-AUC needs both classes present")
+        raise DataError("ROC-AUC needs both classes present")
     ranks = _midranks(s)
     r1 = float(ranks[y == 1].sum())
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)

@@ -7,7 +7,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import EmptyColumn, KOutOfRange, LengthMismatch
+from .errors import ConfigError, DataError
 from .ingest import FeatureKind
 from .preprocess import Dataset
 
@@ -30,7 +30,7 @@ class FeatureScores:
 
     def __post_init__(self) -> None:
         if len(self.scores) != len(self.names):
-            raise LengthMismatch("scores and names must pair up")
+            raise DataError("scores and names must pair up")
 
     def as_text(self) -> str:
         lines = [f"Feature {i}: {s:.6f}" for i, s in enumerate(self.scores)]
@@ -63,9 +63,9 @@ def discretize(values: Sequence[float], bins: int) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
-        raise EmptyColumn("cannot discretize an empty column")
+        raise DataError("cannot discretize an empty column")
     if bins < 1:
-        raise KOutOfRange("bins must be at least 1")
+        raise ConfigError("bins must be at least 1")
     distinct = np.unique(v)
     b = min(int(bins), distinct.size)
     if distinct.size <= bins:
@@ -83,10 +83,10 @@ def mutual_information(x_codes: Sequence[int], y: Sequence[int]) -> float:
     x = np.asarray(x_codes)
     yv = np.asarray(y)
     if x.shape != yv.shape:
-        raise LengthMismatch("x and y must have equal length")
+        raise DataError("x and y must have equal length")
     n = x.size
     if n == 0:
-        raise EmptyColumn("mutual information of empty vectors")
+        raise DataError("mutual information of empty vectors")
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(yv, return_inverse=True)
     joint = np.zeros((xi.max() + 1, yi.max() + 1), dtype=np.float64)
@@ -113,9 +113,9 @@ def score_features(
     columns intact anyway whenever ``bins`` covers their distinct values.
     """
     if dataset.n_rows == 0:
-        raise EmptyColumn("cannot score an empty dataset")
+        raise DataError("cannot score an empty dataset")
     if kinds is not None and len(kinds) != dataset.n_features:
-        raise LengthMismatch("kinds must have one entry per feature")
+        raise DataError("kinds must have one entry per feature")
     scores = []
     for j in range(dataset.n_features):
         column = dataset.features[:, j]
@@ -131,6 +131,6 @@ def select_k_best(scores: FeatureScores, k: int) -> SelectionResult:
     """Top-k predictor indices by descending score, ties by ascending index."""
     d = len(scores.scores)
     if not 1 <= k <= d:
-        raise KOutOfRange(f"k must be in [1, {d}], got {k}")
+        raise ConfigError(f"k must be in [1, {d}], got {k}")
     order = sorted(range(d), key=lambda i: (-scores.scores[i], i))
     return SelectionResult(selected=tuple(order[:k]), k=k)

@@ -24,15 +24,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DuplicateColumn,
-    MissingColumn,
-    NonBinaryTarget,
-    UnexpectedColumn,
-    UnparseableCell,
-)
+from .errors import ConfigError, DataError
 
 __all__ = [
     "FeatureKind",
@@ -231,29 +223,33 @@ class MissingReport:
         }
 
 
-def _parse_cell(text: str, col: Column, row_number: int) -> float:
+def _cannot_parse(row: int, col: Column, text: str, reason: str = "") -> str:
+    detail = f" ({reason})" if reason else ""
+    return f"row {row}, column {col.name!r}: cannot parse {text!r}{detail}"
+
+
+def _parse_cell(text: str, col: Column, row: int) -> float:
     token = text.strip()
     if token.lower() in MISSING_TOKENS:
         if col.target:
-            raise UnparseableCell(row_number, col.name, text, "target may not be missing")
+            raise DataError(_cannot_parse(row, col, text, "target may not be missing"))
         return float("nan")
     try:
         value = float(token)
     except ValueError:
-        raise UnparseableCell(row_number, col.name, text) from None
+        raise DataError(_cannot_parse(row, col, text)) from None
     if not math.isfinite(value):
-        raise UnparseableCell(row_number, col.name, text, "not a finite number")
+        raise DataError(_cannot_parse(row, col, text, "not a finite number"))
     if col.kind is FeatureKind.BINARY and value not in (0.0, 1.0):
-        raise UnparseableCell(row_number, col.name, text, "expected 0 or 1")
+        raise DataError(_cannot_parse(row, col, text, "expected 0 or 1"))
     if col.kind is FeatureKind.ORDINAL:
         if value != int(value):
-            raise UnparseableCell(row_number, col.name, text, "expected an integer")
+            raise DataError(_cannot_parse(row, col, text, "expected an integer"))
         if (col.low is not None and value < col.low) or (
             col.high is not None and value > col.high
         ):
-            raise UnparseableCell(
-                row_number, col.name, text, f"outside [{col.low}, {col.high}]"
-            )
+            reason = f"outside [{col.low}, {col.high}]"
+            raise DataError(_cannot_parse(row, col, text, reason))
     return value
 
 
@@ -265,15 +261,15 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
         key = raw.strip().lower()
         key = HEADER_ALIASES.get(key, key)
         if key not in canonical:
-            raise UnexpectedColumn(raw.strip())
+            raise DataError(f"header contains unrecognized column {raw.strip()!r}")
         name = canonical[key]
         if name in seen:
-            raise DuplicateColumn(name)
+            raise DataError(f"column {name!r} appears more than once in header")
         seen[name] = pos
     order = []
     for name in schema.names:
         if name not in seen:
-            raise MissingColumn(name)
+            raise DataError(f"required column {name!r} not found in header")
         order.append(seen[name])
     return order
 
@@ -281,11 +277,10 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
 def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     """Parse ``path`` into a :class:`CohortTable` laid out in schema order.
 
-    Raises :class:`MissingColumn`, :class:`DuplicateColumn`,
-    :class:`UnexpectedColumn` for header problems and
-    :class:`UnparseableCell` for cell-level problems (with a 1-based data
-    row number), and :class:`DataError` naming ``path`` for a file that is
-    not UTF-8 text.
+    Raises :class:`DataError` for a header that is missing, repeats or
+    adds a column, for a cell that does not parse (naming its 1-based data
+    row and its column), and, naming ``path``, for a file that is not
+    UTF-8 text.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -397,6 +392,6 @@ def class_balance(table: CohortTable) -> tuple[int, int]:
     """Return ``(count of label 0, count of label 1)`` for the target."""
     target = table.columns[table.schema.target_name]
     if not np.isin(target, (0.0, 1.0)).all():
-        raise NonBinaryTarget("target column contains values other than 0/1")
+        raise DataError("target column contains values other than 0/1")
     ones = int((target == 1.0).sum())
     return table.row_count - ones, ones

@@ -134,12 +134,15 @@ def _encode(value: Any) -> Any:
 def _decode(value: Any) -> Any:
     if isinstance(value, dict):
         return Tree(**{name: _decode(v) for name, v in value.items()})
+    if isinstance(value, str):  # no parameter is text; "abc" raises ValueError
+        return float(value)
     if not isinstance(value, list):
         return value
     if value and isinstance(value[0], dict):
         return tuple(_decode(v) for v in value)
     arr = np.asarray(value)
-    return np.asarray(value, dtype=np.float64) if arr.dtype == object else arr
+    # null -> NaN; a string that is not a number raises ValueError
+    return np.asarray(value, dtype=np.float64) if arr.dtype.kind in "OU" else arr
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -168,13 +171,15 @@ def model_from_json(text: str) -> TrainedModel:
     if "spec" not in doc or not isinstance(doc.get("parameters"), dict):
         raise DataError('malformed model file: needs "spec" and a "parameters" object')
     spec = ClassifierSpec.from_doc(doc["spec"])
-    params = {name: _decode(v) for name, v in doc["parameters"].items()}
-    if spec.algorithm == "SVM" and "n_features" not in params:
-        # SVM files written before n_features was stored: width of the vectors
-        params["n_features"] = np.shape(params["support_vectors"])[-1]
+    # TypeError: a missing or unknown parameter name; ValueError: a value that
+    # is not a number; KeyError: an SVM file without its vectors
     try:
+        params = {name: _decode(v) for name, v in doc["parameters"].items()}
+        if spec.algorithm == "SVM" and "n_features" not in params:
+            # SVM files written before n_features was stored: width of the vectors
+            params["n_features"] = np.shape(params["support_vectors"])[-1]
         return _CLASSES[spec.algorithm](spec=spec, **params)
-    except TypeError as exc:  # a missing or unknown parameter name
+    except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"malformed {spec.algorithm} model: {exc}") from None
 
 
@@ -185,4 +190,8 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 def load_model(path: str) -> TrainedModel:
     with open(path, encoding="utf-8") as handle:
-        return model_from_json(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return model_from_json(text)

@@ -17,14 +17,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..errors import (
-    ConfigError,
-    DimensionMismatch,
-    NonFiniteFeature,
-    SingleClass,
-    UnknownHyperparameter,
-    check_integer,
-)
+from ..errors import ConfigError, DataError, check_integer
 from ..preprocess import Dataset
 
 __all__ = [
@@ -87,7 +80,7 @@ class ClassifierSpec:
         defaults = DEFAULT_HYPERPARAMETERS[algo]
         for name, value in self.hyperparameters.items():
             if name not in defaults:
-                raise UnknownHyperparameter(algo, name)
+                raise ConfigError(f"{algo} has no hyperparameter named {name!r}")
             what = f"{algo} hyperparameter {name!r}"
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not real or not math.isfinite(value):
@@ -136,19 +129,17 @@ class Prediction:
 
 def check_train(train: Dataset, require_both_classes: bool = True) -> None:
     if train.n_rows == 0:
-        raise SingleClass("training data is empty")
-    if not np.isfinite(train.features).all():
-        raise NonFiniteFeature("training features contain NaN or infinity")
+        raise DataError("training data is empty")
     if require_both_classes:
         n0, n1 = train.class_counts()
         if n0 == 0 or n1 == 0:
-            raise SingleClass("training data contains a single class")
+            raise DataError("training data contains a single class")
 
 
 def check_vector(x: np.ndarray, n_features: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n_features:
-        raise DimensionMismatch(
+        raise DataError(
             f"expected a vector of length {n_features}, got shape {arr.shape}"
         )
     return arr
@@ -159,7 +150,7 @@ def check_matrix(X: np.ndarray, n_features: int) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != n_features:
-        raise DimensionMismatch(
+        raise DataError(
             f"expected a matrix with {n_features} columns, got shape {arr.shape}"
         )
     return arr

@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UnknownColumn, check_integer
+from .errors import ConfigError, check_integer
 from .eval import EvalSummary, SmoteMode, cross_validate, holdout_evaluate
 from .features import FeatureScores, SelectionResult, score_features, select_k_best
 from .ingest import (
@@ -46,6 +46,7 @@ from .ingest import (
 from .models import ALGORITHMS, ClassifierSpec
 from .preprocess import (
     Dataset,
+    check_columns,
     OutlierReport,
     column_stats,
     drop_rows_missing,
@@ -197,9 +198,8 @@ class PipelineConfig:
         return schema_from_json(self.schema_path) if self.schema_path else FRAMINGHAM
 
     def validate_columns(self, schema: Schema) -> None:
-        for name in (*self.drop_columns, *self.impute_columns, *self.outlier_columns):
-            if name not in schema.names:
-                raise UnknownColumn(name)
+        named = (*self.drop_columns, *self.impute_columns, *self.outlier_columns)
+        check_columns(schema, named)
         d = len(schema.predictor_names)
         if self.select_k is not None and not 1 <= self.select_k <= d:
             raise ConfigError(f"select_k must be in [1, {d}]")

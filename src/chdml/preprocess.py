@@ -13,15 +13,8 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllMissingColumn,
-    ConfigError,
-    DataError,
-    EmptyColumn,
-    TooFewValues,
-    UnknownColumn,
-)
-from .ingest import CohortTable, FeatureKind
+from .errors import ConfigError, DataError
+from .ingest import CohortTable, FeatureKind, Schema
 
 __all__ = [
     "ColumnStats",
@@ -134,11 +127,11 @@ def _present(values: np.ndarray) -> np.ndarray:
 
 
 def column_stats(values: Sequence[float]) -> ColumnStats:
-    """Describe one column.  Raises :class:`EmptyColumn` on no values."""
+    """Describe one column.  Raises :class:`DataError` on no values."""
     v = _present(np.asarray(values, dtype=np.float64))
     n = v.size
     if n == 0:
-        raise EmptyColumn("cannot summarize an empty column")
+        raise DataError("cannot summarize an empty column")
     mean = float(np.mean(v))
     std = float(np.std(v, ddof=1)) if n >= 2 else 0.0
     q1, median, q3 = (float(q) for q in np.quantile(v, (0.25, 0.5, 0.75)))
@@ -158,19 +151,20 @@ def column_stats(values: Sequence[float]) -> ColumnStats:
     )
 
 
-def _check_columns(table: CohortTable, columns: Sequence[str]) -> None:
+def check_columns(schema: Schema, columns: Sequence[str]) -> None:
+    """A :class:`ConfigError` for the first of ``columns`` not in ``schema``."""
     for name in columns:
-        if name not in table.schema.names:
-            raise UnknownColumn(name)
+        if name not in schema.names:
+            raise ConfigError(f"no column named {name!r} in the schema")
 
 
 def impute_mean(table: CohortTable, columns: Sequence[str]) -> CohortTable:
     """Replace missing cells in the named columns by the column mean.
 
-    Present cells are never touched.  Raises :class:`AllMissingColumn` when
+    Present cells are never touched.  Raises :class:`DataError` when
     a named column has no present values to average.
     """
-    _check_columns(table, columns)
+    check_columns(table.schema, columns)
     new: dict[str, np.ndarray] = {}
     for name in columns:
         vec = table.columns[name]
@@ -179,7 +173,7 @@ def impute_mean(table: CohortTable, columns: Sequence[str]) -> CohortTable:
             continue
         present = vec[~missing]
         if present.size == 0:
-            raise AllMissingColumn(name)
+            raise DataError(f"column {name!r} has no present values to average")
         filled = vec.copy()
         filled[missing] = present.mean()
         new[name] = filled
@@ -188,7 +182,7 @@ def impute_mean(table: CohortTable, columns: Sequence[str]) -> CohortTable:
 
 def drop_rows_missing(table: CohortTable, columns: Sequence[str]) -> CohortTable:
     """Remove every row with a missing cell in any named column."""
-    _check_columns(table, columns)
+    check_columns(table.schema, columns)
     if not columns:
         return table
     bad = np.zeros(table.row_count, dtype=bool)
@@ -210,7 +204,7 @@ def iqr_outlier_mask(values: Sequence[float]) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     present = _present(v)
     if present.size < 4:
-        raise TooFewValues("IQR rule needs at least 4 values")
+        raise DataError("IQR rule needs at least 4 values")
     q1, q3 = np.quantile(present, (0.25, 0.75))
     spread = q3 - q1
     lo, hi = q1 - 1.5 * spread, q3 + 1.5 * spread
@@ -228,7 +222,7 @@ def sigma_outlier_mask(values: Sequence[float]) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     present = _present(v)
     if present.size < 2:
-        raise TooFewValues("sigma rule needs at least 2 values")
+        raise DataError("sigma rule needs at least 2 values")
     mean = present.mean()
     s = present.std(ddof=1)
     with np.errstate(invalid="ignore"):
@@ -255,7 +249,7 @@ def remove_outliers(
     pre-removal statistics); the report counts flagged cells per column
     before any row is dropped.
     """
-    _check_columns(table, columns)
+    check_columns(table.schema, columns)
     method = normalize_method(method)
     mask_fn = _MASKS[method]
     counts: dict[str, int] = {}

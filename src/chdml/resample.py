@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingleClass, TooFewMinority, check_integer
+from .errors import ConfigError, DataError, check_integer
 from .preprocess import Dataset, sq_distance_chunks
 
 __all__ = ["SmoteParams", "minority_neighbors", "smote"]
@@ -68,7 +68,7 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     X = np.asarray(X_min, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
-        raise TooFewMinority("need at least 2 minority rows")
+        raise DataError("need at least 2 minority rows")
     k_eff = min(int(k), n - 1)
     neighbors = np.empty((n, k_eff), dtype=np.intp)
     for rows, d2 in sq_distance_chunks(X, X):
@@ -87,7 +87,7 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
     """
     n0, n1 = dataset.class_counts()
     if n0 == 0 or n1 == 0:
-        raise SingleClass("both classes must be present to oversample")
+        raise DataError("both classes must be present to oversample")
     # on equal counts the positive class is treated as the minority
     minority_label = 1 if n1 <= n0 else 0
     n_min, n_maj = (n1, n0) if minority_label == 1 else (n0, n1)
@@ -96,7 +96,7 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
     if n_new <= 0:
         return dataset
     if n_min < 2:
-        raise TooFewMinority("need at least 2 minority rows")
+        raise DataError("need at least 2 minority rows")
 
     min_idx = np.flatnonzero(dataset.labels == minority_label)
     X_min = dataset.features[min_idx]

@@ -4,8 +4,14 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import chdml
+
+# Property tests run the same examples on every run and have no per-example
+# time limit, so a slow shared host cannot turn them red.
+settings.register_profile("chdml", derandomize=True, deadline=None)
+settings.load_profile("chdml")
 
 DATA_DIR = Path(__file__).parent / "data"
 

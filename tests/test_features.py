@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chdml
-from chdml.errors import EmptyColumn, KOutOfRange, LengthMismatch
+from chdml.errors import ConfigError, DataError
 from chdml.features import (
     FeatureScores,
     discretize,
@@ -48,11 +48,11 @@ class TestMutualInformation:
             assert mutual_information(x, y) >= 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="must have equal length"):
             mutual_information(np.array([1.0, 2]), np.array([0]))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(DataError, match="mutual information of empty vectors"):
             mutual_information(np.array([]), np.array([], dtype=int))
 
 
@@ -132,9 +132,9 @@ class TestSelectKBest:
         assert result.selected == (1, 2)
 
     def test_k_bounds(self):
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(ConfigError, match=r"k must be in \[1, 2\], got 0"):
             select_k_best(scored(0.1, 0.2), k=0)
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(ConfigError, match=r"k must be in \[1, 2\], got 3"):
             select_k_best(scored(0.1, 0.2), k=3)
 
     def test_select_all_keeps_every_index(self):

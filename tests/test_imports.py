@@ -74,3 +74,34 @@ def test_no_dead_definitions():
         if name not in loaded and name not in readme
     )
     assert not dead
+
+
+FAMILIES = {"ConfigError", "DataError"}
+
+
+def raises(node, scope=""):
+    """(qualified scope, Raise node) of each ``raise`` with an exception under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from raises(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            yield scope, child
+        yield from raises(child, scope)
+
+
+def test_raises_use_the_two_families():
+    """Every ``raise`` in the package names ConfigError or DataError.  A bare
+    re-raise is allowed, and so is ``Schema.column``'s KeyError, which is part
+    of the mapping protocol."""
+    allowed = {"ingest.py:Schema.column: KeyError"}
+    other = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope, node in raises(tree):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            found = f"{path.relative_to(SRC)}:{scope}: {name}"
+            if name not in FAMILIES and found not in allowed:
+                other.append(found)
+    assert not other

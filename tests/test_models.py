@@ -2,17 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from chdml.errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    SingleClass,
-    UnknownHyperparameter,
-)
+from chdml.errors import ConfigError, DataError
 from chdml.models import (
     ALGORITHMS,
     CartModel,
@@ -59,7 +54,7 @@ class TestSpec:
             ClassifierSpec("GBM")
 
     def test_unknown_hyperparameter(self):
-        with pytest.raises(UnknownHyperparameter):
+        with pytest.raises(ConfigError, match="KNN has no hyperparameter named 'leaves'"):
             ClassifierSpec("KNN", hyperparameters={"leaves": 3})
 
     def test_case_folding(self):
@@ -104,7 +99,7 @@ class TestLogistic:
 
     def test_single_class_rejected(self):
         X = np.zeros((4, 2))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError, match="contains a single class"):
             fit(ClassifierSpec("LR"), Dataset(X, np.zeros(4, dtype=int)))
 
     def test_deterministic(self):
@@ -357,6 +352,35 @@ class TestDispatch:
             model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "algorithm, name, value",
+        [
+            ("CART", "tree", {"x": 1}),
+            ("NB", "means", [None, "a"]),
+            ("NB", "log_priors", ["a", 1.0]),
+            ("SVM", "support_vectors", None),
+            ("LR", "bias", "abc"),
+        ],
+        ids=[
+            "tree-unknown-key", "null-and-text", "text-in-list", "svm-without-vectors",
+            "text-scalar",
+        ],
+    )
+    def test_malformed_parameter_is_data_error(self, algorithm, name, value):
+        doc = json.loads(model_to_json(fit(ClassifierSpec(algorithm), blobs(seed=14))))
+        if value is None:
+            del doc["parameters"][name], doc["parameters"]["n_features"]
+        else:
+            doc["parameters"][name] = value
+        with pytest.raises(DataError, match=f"malformed {algorithm} model: "):
+            model_from_json(json.dumps(doc))
+
+    def test_non_utf8_model_file_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
         "tamper",
         [
             lambda doc: "{oops",
@@ -375,14 +399,14 @@ class TestDispatch:
     def test_dimension_mismatch(self):
         data = blobs(seed=15)
         model = fit(ClassifierSpec("NB"), data)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="expected a vector of length 2"):
             score(model, np.array([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("algorithm", ["LR", "NB", "SVM"])
     def test_single_class_train_rejected(self, algorithm):
         X = np.random.default_rng(0).normal(size=(6, 2))
         data = Dataset(X, np.ones(6, dtype=int))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError, match="contains a single class"):
             fit(ClassifierSpec(algorithm), data)
 
     @pytest.mark.parametrize("algorithm", ["KNN", "CART", "RF"])

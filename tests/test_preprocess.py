@@ -9,12 +9,7 @@ import pytest
 
 import chdml
 from chdml import preprocess
-from chdml.errors import (
-    AllMissingColumn,
-    ConfigError,
-    DataError,
-    EmptyColumn,
-)
+from chdml.errors import ConfigError, DataError
 from chdml.preprocess import (
     Dataset,
     column_stats,
@@ -49,7 +44,7 @@ class TestColumnStats:
         assert stats.skewness == 0.0
 
     def test_all_nan_rejected(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(DataError, match="cannot summarize an empty column"):
             column_stats(np.array([np.nan, np.nan]))
 
 
@@ -69,7 +64,7 @@ class TestImpute:
         table = fixture_table.replace_columns(
             {"glucose": np.full(fixture_table.row_count, np.nan)}
         )
-        with pytest.raises(AllMissingColumn):
+        with pytest.raises(DataError, match="column 'glucose' has no present values"):
             chdml.impute_mean(table, ["glucose"])
 
 

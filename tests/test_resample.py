@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chdml import preprocess
-from chdml.errors import ConfigError, SingleClass, TooFewMinority
+from chdml.errors import ConfigError, DataError
 from chdml.preprocess import Dataset
 from chdml.resample import SmoteParams, minority_neighbors, smote
 
@@ -60,7 +60,7 @@ class TestMinorityNeighbors:
         assert nn.shape == (2, 1)
 
     def test_too_few_rejected(self):
-        with pytest.raises(TooFewMinority):
+        with pytest.raises(DataError, match="at least 2 minority rows"):
             minority_neighbors(np.array([[1.0]]), k=1)
 
     def test_tie_goes_to_lower_index(self):
@@ -124,13 +124,13 @@ class TestSmote:
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(6, 2))
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError, match="both classes must be present"):
             smote(Dataset(X, np.zeros(6, dtype=int)), SmoteParams())
 
     def test_minority_of_one_rejected(self):
         X = np.random.default_rng(0).normal(size=(6, 2))
         y = np.array([0, 0, 0, 0, 0, 1])
-        with pytest.raises(TooFewMinority):
+        with pytest.raises(DataError, match="at least 2 minority rows"):
             smote(Dataset(X, y), SmoteParams())
 
     def test_round_nominal(self):
