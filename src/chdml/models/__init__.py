@@ -31,7 +31,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..preprocess import Dataset
 from . import bayes, forest, linear, neighbors, svm, tree
 from .base import (
@@ -145,6 +145,44 @@ def _decode(value: Any) -> Any:
     return np.asarray(value, dtype=np.float64) if arr.dtype.kind in "OU" else arr
 
 
+def _tree_problem(model: TrainedModel) -> str | None:
+    """Why the trees of ``model`` do not have the layout
+    :func:`tree.build_tree` writes, or None.  That layout (five equal-length
+    node arrays, leaves without children, every child numbered after its
+    parent) is what makes scoring end at a leaf."""
+    if isinstance(model, CartModel):
+        trees = (model.tree,)
+    elif isinstance(model, ForestModel):
+        trees = model.trees
+        if not len(trees):
+            return "a forest needs at least one tree"
+    else:
+        return None
+    for t in trees:
+        if not isinstance(t, Tree):
+            return f"a tree must be an object of node arrays, not {t!r}"
+        arrays = [np.asarray(getattr(t, f.name)) for f in fields(Tree)]
+        shapes = {a.shape for a in arrays}
+        if len(shapes) != 1 or arrays[0].ndim != 1 or not arrays[0].size:
+            return "the node arrays of a tree must be non-empty lists of one length"
+        feature, _, left, right, _ = arrays
+        if any(a.dtype.kind != "i" for a in (feature, left, right)):
+            return "a tree's feature, left and right must be integers"
+        ids = np.arange(feature.size)
+        leaf = feature == -1
+        first, last = np.minimum(left, right), np.maximum(left, right)
+        for what, bad in (
+            ("a leaf with children", leaf & ((left != -1) | (right != -1))),
+            ("a split whose child is not after it or past the last node",
+             ~leaf & ((first <= ids) | (last >= ids.size))),
+            (f"a split on a feature outside [0, {model.n_features})",
+             ~leaf & ((feature < 0) | (feature >= model.n_features))),
+        ):
+            if bad.any():
+                return f"tree node {int(np.argmax(bad))} is {what}"
+    return None
+
+
 def model_to_json(model: TrainedModel) -> str:
     """Serialize a model; floats keep full repr precision."""
     doc = {
@@ -170,7 +208,10 @@ def model_from_json(text: str) -> TrainedModel:
         raise DataError(f"unsupported model format {doc.get('format')!r}")
     if "spec" not in doc or not isinstance(doc.get("parameters"), dict):
         raise DataError('malformed model file: needs "spec" and a "parameters" object')
-    spec = ClassifierSpec.from_doc(doc["spec"])
+    try:
+        spec = ClassifierSpec.from_doc(doc["spec"])
+    except ConfigError as exc:
+        raise DataError(f"malformed model file: {exc}") from None
     # TypeError: a missing or unknown parameter name; ValueError: a value that
     # is not a number; KeyError: an SVM file without its vectors
     try:
@@ -178,9 +219,13 @@ def model_from_json(text: str) -> TrainedModel:
         if spec.algorithm == "SVM" and "n_features" not in params:
             # SVM files written before n_features was stored: width of the vectors
             params["n_features"] = np.shape(params["support_vectors"])[-1]
-        return _CLASSES[spec.algorithm](spec=spec, **params)
+        model = _CLASSES[spec.algorithm](spec=spec, **params)
+        problem = _tree_problem(model)
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"malformed {spec.algorithm} model: {exc}") from None
+    if problem is not None:
+        raise DataError(f"malformed {spec.algorithm} model: {problem}")
+    return model
 
 
 def save_model(model: TrainedModel, path: str) -> None:

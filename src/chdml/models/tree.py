@@ -7,6 +7,13 @@ lowest weighted child Gini, ties broken by lower feature index, then lower
 threshold.  A node becomes a leaf when it is pure, all candidate features
 are constant, it is smaller than ``min_samples_split``, or the depth cap
 is reached.  Leaves score the positive fraction of their training rows.
+
+A tree is grown from one argsort per feature: each node holds its rows in
+every feature's sorted order, a split partitions them with a stable mask,
+and all cuts of all candidate features of a node are scored in one
+vectorized pass.  The Gini sums, their int64 counts and the float
+operations are those of a per-feature scan, so the trees, their node
+order and the draws of the feature generator do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -48,42 +55,36 @@ class Tree:
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray
-) -> tuple[int, float] | None:
-    """Lowest weighted-Gini split over the given features, or None.
+    Xt: np.ndarray, y: np.ndarray, orders: np.ndarray, features: np.ndarray, pos: int
+) -> tuple[int, float, int, int] | None:
+    """Lowest weighted-Gini split over ``features``, or None if all are constant.
 
-    ``features`` must be in ascending order; the first strict minimum
-    encountered wins, which realizes the (feature index, threshold) tie
-    rule.
+    ``orders`` holds, for every feature, the node's ``m`` rows in ascending
+    order of that feature; ``pos`` counts the node's positives.  All cuts of
+    all candidates are scored in one (k, m - 1) pass; cuts between equal
+    values read ``inf``.  With ``features`` ascending, the first minimum of
+    the feature-major array realizes the tie rule.  Returns the feature, the
+    threshold, and the left child's row and positive counts.
     """
-    m = idx.size
-    total_pos = int(y[idx].sum())
-    best: tuple[float, int, float] | None = None
-    for f in features:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cuts = np.flatnonzero(sv[1:] > sv[:-1])  # cut after sorted position i
-        if cuts.size == 0:
-            continue
-        cum_pos = np.cumsum(y[idx][order])
-        n_left = cuts + 1
-        p_left = cum_pos[cuts]
-        n_right = m - n_left
-        p_right = total_pos - p_left
-        gini_left = 1.0 - (p_left**2 + (n_left - p_left) ** 2) / n_left**2
-        gini_right = 1.0 - (p_right**2 + (n_right - p_right) ** 2) / n_right**2
-        weighted = (n_left * gini_left + n_right * gini_right) / m
-        j = int(np.argmin(weighted))  # first minimum = lowest threshold
-        if best is None or weighted[j] < best[0]:
-            lo, hi = sv[cuts[j]], sv[cuts[j] + 1]
-            thr = lo / 2.0 + hi / 2.0
-            if thr >= hi:  # midpoint rounded up to hi: fall back to lo
-                thr = lo
-            best = (float(weighted[j]), int(f), float(thr))
-    if best is None:
+    rows = orders[features]
+    m = rows.shape[1]
+    sv = Xt[features[:, None], rows]
+    p_left = y[rows[:, :-1]].cumsum(axis=1)
+    # left then right child of every cut, side by side
+    n_left = np.arange(1, m)
+    n = np.concatenate((n_left, m - n_left))
+    p = np.concatenate((p_left, pos - p_left), axis=1)
+    n_gini = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+    weighted = (n_gini[:, : m - 1] + n_gini[:, m - 1 :]) / m
+    weighted = np.where(sv[:, 1:] > sv[:, :-1], weighted, np.inf)
+    k, i = divmod(int(weighted.argmin()), m - 1)
+    if weighted[k, i] == np.inf:
         return None
-    return best[1], best[2]
+    lo, hi = sv[k, i], sv[k, i + 1]
+    thr = lo / 2.0 + hi / 2.0
+    if thr >= hi:  # midpoint rounded up to hi: fall back to lo
+        thr = lo
+    return int(features[k]), float(thr), i + 1, int(p_left[k, i])
 
 
 def build_tree(
@@ -96,57 +97,56 @@ def build_tree(
 ) -> Tree:
     """Grow a tree on (X, y); ``max_depth`` 0 means unrestricted.
 
+    Every feature is argsorted once per tree.  A split gathers one
+    goes-left flag per row into a mask over all features' sorted rows, and
+    each child keeps its part of every row, which stays sorted; a child that
+    is a leaf by count (pure, smaller than ``min_samples_split``, or at the
+    depth cap) is never partitioned.  Row and positive counts come from the
+    parent's chosen cut, not from a pass over the rows.
+
     When ``rng`` and ``mtry`` are given, every split evaluates a fresh uniform
     subset of ``mtry`` features (sampled without replacement, then sorted
     ascending so the tie rule stays well-defined).  Nodes are expanded
-    depth-first, left child first, so generator consumption is a fixed
-    function of the data.
+    depth-first, left child first, and numbered in that preorder, so
+    generator consumption is a fixed function of the data.
     """
     n, d = X.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
+    Xt = np.ascontiguousarray(X.T)
+    orders = np.argsort(Xt, axis=1, kind="stable")
+    goes_left = np.zeros(n, dtype=bool)
     all_features = np.arange(d)
-    stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(n), 0, -1, False)
-    ]
+    nodes: list[list] = []  # [feature, threshold, left, right, value]
+    # (parent's sorted rows, this child's part of them or None for all,
+    # rows, positives, depth, parent, is_left)
+    stack = [(orders, None, n, int(y.sum()), 0, -1, False)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
-        node_id = len(feature)
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        m = idx.size
-        pos = int(y[idx].sum())
-        value.append(pos / m)
+        orders, keep, m, pos, depth, parent, is_left = stack.pop()
+        node_id = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, pos / m])
         if parent >= 0:
-            (left if is_left else right)[parent] = node_id
-
-        if pos == 0 or pos == m:
+            nodes[parent][2 if is_left else 3] = node_id
+        if pos in (0, m) or m < min_samples_split or max_depth and depth >= max_depth:
             continue
-        if m < min_samples_split:
-            continue
-        if max_depth and depth >= max_depth:
-            continue
+        if keep is not None:
+            orders = orders.compress(keep).reshape(d, -1)
         if rng is not None and mtry is not None and mtry < d:
             candidates = np.sort(rng.choice(d, size=mtry, replace=False))
         else:
             candidates = all_features
-        split = _best_split(X, y, idx, candidates)
+        split = _best_split(Xt, y, orders, candidates, pos)
         if split is None:
             continue
-        f, thr = split
-        feature[node_id] = f
-        threshold[node_id] = thr
-        mask = X[idx, f] <= thr
+        f, thr, n_left, p_left = split
+        nodes[node_id][:2] = f, thr
+        goes_left[orders[f, :n_left]] = True
+        goes_left[orders[f, n_left:]] = False
+        mask = goes_left[orders].ravel()
         # right first so the left child is expanded (and numbered) first
-        stack.append((idx[~mask], depth + 1, node_id, False))
-        stack.append((idx[mask], depth + 1, node_id, True))
+        depth += 1
+        stack.append((orders, ~mask, m - n_left, pos - p_left, depth, node_id, False))
+        stack.append((orders, mask, n_left, p_left, depth, node_id, True))
 
+    feature, threshold, left, right, value = zip(*nodes)
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

@@ -186,6 +186,26 @@ class TestCart:
         assert model.tree.node_count == 1
         assert score(model, np.array([1.0])) == 0.5
 
+    def test_identical_columns_split_on_the_lower_feature(self):
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+        model = fit(ClassifierSpec("CART"), Dataset(X, np.array([0, 0, 1, 1])))
+        assert (model.tree.feature[0], model.tree.threshold[0]) == (0, 2.5)
+
+    def test_equal_gini_cuts_take_the_lower_threshold(self):
+        # cuts at 1.5 and 5.5 both weigh (5 * (1 - 13/25)) / 6
+        data = Dataset(np.arange(1.0, 7.0)[:, None], np.array([0, 1, 1, 0, 0, 1]))
+        model = fit(ClassifierSpec("CART", hyperparameters={"max_depth": 1}), data)
+        assert model.tree.threshold[0] == 1.5
+
+    def test_midpoint_rounding_up_falls_back_to_lower_value(self):
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert lo / 2.0 + hi / 2.0 == hi
+        X = np.array([[lo], [hi]])
+        model = fit(ClassifierSpec("CART"), Dataset(X, np.array([0, 1])))
+        assert model.tree.threshold[0] == lo
+        assert score_many(model, X).tolist() == [0.0, 1.0]
+
 
 class TestForest:
     def test_single_tree_identity_matches_cart(self):
@@ -359,10 +379,11 @@ class TestDispatch:
             ("NB", "log_priors", ["a", 1.0]),
             ("SVM", "support_vectors", None),
             ("LR", "bias", "abc"),
+            ("RF", "trees", []),
         ],
         ids=[
             "tree-unknown-key", "null-and-text", "text-in-list", "svm-without-vectors",
-            "text-scalar",
+            "text-scalar", "forest-without-trees",
         ],
     )
     def test_malformed_parameter_is_data_error(self, algorithm, name, value):
@@ -372,6 +393,50 @@ class TestDispatch:
         else:
             doc["parameters"][name] = value
         with pytest.raises(DataError, match=f"malformed {algorithm} model: "):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "algorithm, array, node, value, message",
+        [
+            ("CART", "left", 0, 0, "node 0 is a split whose child is not after it"),
+            ("RF", "right", 0, 0, "node 0 is a split whose child is not after it"),
+            ("CART", "right", 0, "count", "node 0 is a split .* past the last node"),
+            ("CART", "feature", 0, 2, r"node 0 is a split on a feature outside \[0, 2\)"),
+            ("RF", "feature", 0, -2, r"node 0 is a split on a feature outside"),
+            ("CART", "left", "leaf", 0, "is a leaf with children"),
+            ("CART", "feature", 0, 0.5, "feature, left and right must be integers"),
+        ],
+        ids=[
+            "self-loop", "rf-self-loop", "child-past-last-node",
+            "feature-past-n-features", "negative-feature", "leaf-with-children",
+            "fractional-feature",
+        ],
+    )
+    def test_malformed_tree_is_data_error(self, algorithm, array, node, value, message):
+        """Loading alone must fail: such a tree makes scoring loop forever or
+        index out of range.  ``node`` "leaf" is the first leaf; ``value``
+        "count" is the node count."""
+        doc = json.loads(model_to_json(fit(ClassifierSpec(algorithm), blobs(seed=14))))
+        params = doc["parameters"]
+        tree = params["tree"] if algorithm == "CART" else params["trees"][0]
+        node = tree["feature"].index(-1) if node == "leaf" else node
+        tree[array][node] = len(tree["feature"]) if value == "count" else value
+        with pytest.raises(DataError, match=f"malformed {algorithm} model: .*{message}"):
+            model_from_json(json.dumps(doc))
+
+    def test_tree_arrays_of_unequal_length_are_data_error(self):
+        doc = json.loads(model_to_json(fit(ClassifierSpec("CART"), blobs(seed=14))))
+        doc["parameters"]["tree"]["value"].pop()
+        with pytest.raises(DataError, match="malformed CART model: .*of one length"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "spec", [{"algorithm": "GBM"}, ["x"]], ids=["unknown-algorithm", "list"]
+    )
+    def test_malformed_spec_is_data_error(self, spec):
+        doc = json.loads(model_to_json(fit(ClassifierSpec("NB"), blobs(seed=14))))
+        doc["spec"] = spec
+        with pytest.raises(DataError, match="malformed model file: "):
             model_from_json(json.dumps(doc))
 
     def test_non_utf8_model_file_names_path(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chdml.eval import roc_auc, stratified_kfold
-from chdml.models import ClassifierSpec, fit, score_many
+from chdml.models import ClassifierSpec, fit, model_from_json, model_to_json, score_many
 from chdml.preprocess import Dataset
 from chdml.resample import SmoteParams, minority_neighbors, smote
 
@@ -72,5 +72,9 @@ def test_smote_rows_lie_on_neighbor_segments(data, k, seed):
 def test_tree_scores_are_probabilities(data, seed):
     for spec in (ClassifierSpec("CART"),
                  ClassifierSpec("RF", hyperparameters={"n_trees": 5}, seed=seed)):
-        scores = score_many(fit(spec, data), data.features + 0.5)
+        model = fit(spec, data)
+        scores = score_many(model, data.features + 0.5)
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        # every fitted tree passes the structure check a model file gets on load
+        text = model_to_json(model)
+        assert model_to_json(model_from_json(text)) == text
