@@ -149,19 +149,11 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with tied values sharing their average rank; ``values``
+    must hold no NaN."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + (counts - 1) / 2.0 + 1.0)[inverse]
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -169,9 +161,11 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
     Equals the probability that a random positive outscores a random
     negative, ties counted half, and the trapezoidal area under the ROC
-    curve.
+    curve.  A NaN score raises :class:`DataError`.
     """
     s = np.asarray(scores, dtype=np.float64)
+    if np.isnan(s).any():
+        raise DataError("ROC-AUC scores contain NaN")
     y = np.asarray(labels)
     n1 = int((y == 1).sum())
     n0 = int((y == 0).sum())

@@ -1,10 +1,11 @@
 """Typed CSV ingestion for cohort data.
 
-The expected input is a comma-delimited UTF-8 file with a header row, one
-row per study participant, and one column per attribute.  Columns are
-matched to a :class:`Schema` by name (order-insensitive, case-insensitive)
-and reordered into schema order internally so that feature indices are
-stable no matter how the file was exported.
+The expected input is a comma-delimited UTF-8 file (a leading byte-order
+mark is skipped) with a header row, one row per study participant, and
+one column per attribute.  Columns are matched to a :class:`Schema` by
+name (order-insensitive, case-insensitive) and reordered into schema
+order internally so that feature indices are stable no matter how the
+file was exported.
 
 Missing values are the empty string or the token ``NA`` (case-insensitive);
 they are stored as ``NaN`` inside float64 column vectors.  Binary columns
@@ -45,8 +46,9 @@ log = logging.getLogger(__name__)
 #: Tokens (lowercased, stripped) that parse as a missing cell.
 MISSING_TOKENS = frozenset({"", "na"})
 
-#: Alternate header spellings seen in the wild, mapped to schema names.
-#: Public exports of this cohort commonly name the sex column ``male``.
+#: Alternate header spellings seen in the wild, mapped to schema names;
+#: used only for a header that names no schema column itself.  Public
+#: exports of this cohort commonly name the sex column ``male``.
 HEADER_ALIASES: Mapping[str, str] = {"male": "sex"}
 
 
@@ -99,9 +101,10 @@ class Schema:
     def __post_init__(self) -> None:
         if len(self.columns) < 2:
             raise DataError("a schema needs at least one predictor and a target")
-        names = [c.name for c in self.columns]
+        # headers match names ignoring case, so names must differ in more
+        names = [c.name.lower() for c in self.columns]
         if len(set(names)) != len(names):
-            raise DataError("schema column names must be unique")
+            raise DataError("schema column names must be unique, ignoring case")
         targets = [c for c in self.columns if c.target]
         if len(targets) != 1:
             raise DataError("schema must declare exactly one target column")
@@ -259,7 +262,8 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
     seen: dict[str, int] = {}
     for pos, raw in enumerate(header):
         key = raw.strip().lower()
-        key = HEADER_ALIASES.get(key, key)
+        if key not in canonical:
+            key = HEADER_ALIASES.get(key, key)
         if key not in canonical:
             raise DataError(f"header contains unrecognized column {raw.strip()!r}")
         name = canonical[key]
@@ -283,7 +287,7 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     UTF-8 text.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -331,7 +335,7 @@ def write_csv(table: CohortTable, path: str) -> None:
 def read_json(path: str) -> Any:
     """Parse a config or schema file; :class:`ConfigError` naming ``path``
     when it is not UTF-8 JSON."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return json.load(handle)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -40,6 +40,8 @@ from .base import (
     FORMAT_VERSION,
     ClassifierSpec,
     Prediction,
+    check_matrix,
+    check_train,
     check_vector,
 )
 from .bayes import NaiveBayesModel
@@ -76,28 +78,26 @@ TrainedModel = Union[
     LogisticModel, NaiveBayesModel, KnnModel, CartModel, ForestModel, SvmModel
 ]
 
-_FITTERS = {
-    "LR": linear.fit,
-    "NB": bayes.fit,
-    "KNN": neighbors.fit,
-    "CART": tree.fit,
-    "RF": forest.fit,
-    "SVM": svm.fit,
+#: Each algorithm's fit function and model class.
+_ALGORITHM_TABLE = {
+    "LR": (linear.fit, LogisticModel),
+    "NB": (bayes.fit, NaiveBayesModel),
+    "KNN": (neighbors.fit, KnnModel),
+    "CART": (tree.fit, CartModel),
+    "RF": (forest.fit, ForestModel),
+    "SVM": (svm.fit, SvmModel),
 }
 
-_CLASSES = {
-    "LR": LogisticModel,
-    "NB": NaiveBayesModel,
-    "KNN": KnnModel,
-    "CART": CartModel,
-    "RF": ForestModel,
-    "SVM": SvmModel,
-}
+#: Algorithms that cannot train on a single class.
+_TWO_CLASS_ONLY = frozenset({"LR", "NB", "SVM"})
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
-    """Train ``spec`` on ``train``; equal inputs give identical models."""
-    return _FITTERS[spec.algorithm](spec, train)
+    """Train ``spec`` on ``train``; equal inputs give identical models.  An
+    empty ``train``, or a single-class one for LR, NB and SVM, is a :class:`DataError`."""
+    check_train(train, require_both_classes=spec.algorithm in _TWO_CLASS_ONLY)
+    fit_algorithm, _ = _ALGORITHM_TABLE[spec.algorithm]
+    return fit_algorithm(spec, train)
 
 
 def threshold_for(model: TrainedModel) -> float:
@@ -106,7 +106,9 @@ def threshold_for(model: TrainedModel) -> float:
 
 
 def score_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return model.score_many(X)
+    """Score every row of ``X`` (a 1-D ``X`` is one row); :class:`DataError`
+    when its width is not the model's."""
+    return model.score_many(check_matrix(X, model.n_features))
 
 
 def score(model: TrainedModel, x: np.ndarray) -> float:
@@ -219,7 +221,8 @@ def model_from_json(text: str) -> TrainedModel:
         if spec.algorithm == "SVM" and "n_features" not in params:
             # SVM files written before n_features was stored: width of the vectors
             params["n_features"] = np.shape(params["support_vectors"])[-1]
-        model = _CLASSES[spec.algorithm](spec=spec, **params)
+        _, model_class = _ALGORITHM_TABLE[spec.algorithm]
+        model = model_class(spec=spec, **params)
         problem = _tree_problem(model)
     except (TypeError, ValueError, KeyError) as exc:
         raise DataError(f"malformed {spec.algorithm} model: {exc}") from None

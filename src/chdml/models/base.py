@@ -2,7 +2,8 @@
 
 Every algorithm implements ``fit`` into a frozen dataclass exposing
 ``score_many`` and ``n_features``; its fields are what a model file holds
-(see :mod:`chdml.models`).  Five of the six
+(see :mod:`chdml.models`, which checks the training set and the query
+width for every algorithm).  Five of the six
 produce probabilities in [0, 1] thresholded strictly above 0.5; the SVM
 produces an unbounded decision value thresholded strictly above 0.
 """
@@ -48,13 +49,18 @@ DEFAULT_HYPERPARAMETERS: Mapping[str, Mapping[str, float]] = {
 }
 
 #: Lower bound of each hyperparameter that has one; those with an integer
-#: default are compared after rounding, as the models round them.
+#: default are compared after rounding, as :meth:`ClassifierSpec.resolved` rounds them.
 HYPERPARAMETER_BOUNDS: Mapping[str, tuple[str, float]] = {
     "step": ("above", 0), "tol": ("above", 0), "C": ("above", 0),
     "gamma": ("at least", 0), "k": ("at least", 1), "n_trees": ("at least", 1),
 }
 
 FORMAT_VERSION = 1
+
+
+def _as_default_type(default: float, value: float) -> float:
+    """``value`` rounded to an int when ``default`` is one, else a float."""
+    return int(round(value)) if isinstance(default, int) else float(value)
 
 
 @dataclass(frozen=True)
@@ -86,17 +92,20 @@ class ClassifierSpec:
             if not real or not math.isfinite(value):
                 raise ConfigError(f"{what} must be a finite number, not {value!r}")
             word, bound = HYPERPARAMETER_BOUNDS.get(name, ("at least", -math.inf))
-            seen = round(value) if isinstance(defaults[name], int) else value
+            seen = _as_default_type(defaults[name], value)
             if not (seen > bound if word == "above" else seen >= bound):
                 raise ConfigError(f"{what} must be {word} {bound}, not {value!r}")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
         object.__setattr__(self, "seed", check_integer("seed", self.seed))
 
     def resolved(self) -> dict[str, float]:
-        """Defaults overlaid with this spec's overrides."""
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.algorithm])
-        merged.update(self.hyperparameters)
-        return merged
+        """Defaults overlaid with this spec's overrides, each an ``int``
+        (rounded) where the default is an integer and a ``float`` otherwise."""
+        defaults = DEFAULT_HYPERPARAMETERS[self.algorithm]
+        return {
+            name: _as_default_type(default, self.hyperparameters.get(name, default))
+            for name, default in defaults.items()
+        }
 
     def replace(self, **changes: Any) -> "ClassifierSpec":
         return dataclasses.replace(self, **changes)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..preprocess import Dataset
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 
 __all__ = ["NaiveBayesModel", "fit"]
 
@@ -25,7 +25,6 @@ class NaiveBayesModel:
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Posterior P(y=1 | x), computed in log space."""
-        X = check_matrix(X, self.n_features)
         log_post = np.empty((X.shape[0], 2), dtype=np.float64)
         for c in (0, 1):
             var = self.variances[c]
@@ -43,9 +42,7 @@ def fit(spec: ClassifierSpec, train: Dataset) -> NaiveBayesModel:
     per-feature variance of the whole training matrix, so constant
     within-class features cannot produce a zero variance.
     """
-    check_train(train, require_both_classes=True)
-    hp = spec.resolved()
-    floor_ratio = float(hp["var_floor_ratio"])
+    floor_ratio = spec.resolved()["var_floor_ratio"]
 
     X, y = train.features, train.labels
     n = len(y)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..preprocess import Dataset
 from ..rng import generator
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 from .tree import Tree, build_tree
 
 __all__ = ["ForestModel", "fit"]
@@ -23,7 +23,6 @@ class ForestModel:
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
         """Mean of the per-tree leaf scores."""
-        X = check_matrix(X, self.n_features)
         total = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
             total += tree.score_many(X)
@@ -39,22 +38,17 @@ def fit(spec: ClassifierSpec, train: Dataset) -> ForestModel:
     ``bootstrap`` 0 uses the training rows as-is (no resampling), which
     pins a single-tree forest to the plain tree exactly.
     """
-    check_train(train, require_both_classes=False)
     hp = spec.resolved()
-    n_trees = int(round(hp["n_trees"]))
     d = train.n_features
-    mtry = int(round(hp["mtry"])) or int(math.floor(math.sqrt(d)))
+    mtry = hp["mtry"] or int(math.floor(math.sqrt(d)))
     mtry = min(max(mtry, 1), d)
-    use_bootstrap = bool(int(round(hp["bootstrap"])))
-    min_samples_split = int(round(hp["min_samples_split"]))
-    max_depth = int(round(hp["max_depth"]))
 
     X, y = train.features, train.labels
     n = train.n_rows
     trees = []
-    for t in range(n_trees):
+    for t in range(hp["n_trees"]):
         rng = generator(spec.seed, t)
-        if use_bootstrap:
+        if hp["bootstrap"]:
             sample = rng.integers(0, n, size=n)
             Xt, yt = X[sample], y[sample]
         else:
@@ -63,8 +57,8 @@ def fit(spec: ClassifierSpec, train: Dataset) -> ForestModel:
             build_tree(
                 Xt,
                 yt,
-                min_samples_split=min_samples_split,
-                max_depth=max_depth,
+                min_samples_split=hp["min_samples_split"],
+                max_depth=hp["max_depth"],
                 rng=rng,
                 mtry=mtry,
             )

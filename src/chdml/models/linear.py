@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..preprocess import Dataset
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 
 __all__ = ["sigmoid", "nll_loss", "nll_gradient", "LogisticModel", "fit"]
 
@@ -67,17 +67,15 @@ class LogisticModel:
         return len(self.weights)
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        X = check_matrix(X, self.n_features)
         return sigmoid(X @ self.weights + self.bias)
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:
-    check_train(train, require_both_classes=True)
     hp = spec.resolved()
-    lam = float(hp["lambda"])
-    step0 = float(hp["step"])
-    max_iter = int(round(hp["max_iter"]))
-    tol = float(hp["tol"])
+    lam = hp["lambda"]
+    step0 = hp["step"]
+    max_iter = hp["max_iter"]
+    tol = hp["tol"]
 
     X = train.features
     y = train.labels.astype(np.float64)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..preprocess import Dataset, sq_distance_chunks
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 
 __all__ = ["KnnModel", "fit"]
 
@@ -30,7 +30,6 @@ class KnnModel:
         ties resolve to the lower training-row index (stable sort).  Queries
         go chunk by chunk to bound memory.
         """
-        X = check_matrix(X, self.n_features)
         k = min(self.k, self.train_features.shape[0])
         out = np.empty(X.shape[0], dtype=np.float64)
         for rows, d2 in sq_distance_chunks(X, self.train_features):
@@ -41,11 +40,9 @@ class KnnModel:
 
 def fit(spec: ClassifierSpec, train: Dataset) -> KnnModel:
     """Store the training data; all work happens at scoring time."""
-    check_train(train, require_both_classes=False)
-    k = int(round(spec.resolved()["k"]))
     return KnnModel(
         spec=spec,
         train_features=train.features,
         train_labels=train.labels,
-        k=k,
+        k=spec.resolved()["k"],
     )

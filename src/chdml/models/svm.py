@@ -20,13 +20,13 @@ after 10n sweeps.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..preprocess import Dataset, sq_distance_chunks
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 
 __all__ = ["SvmModel", "fit", "rbf_kernel"]
 
@@ -43,27 +43,6 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-class _RowCache:
-    """LRU cache of kernel rows K(i, all training points)."""
-
-    def __init__(self, X: np.ndarray, gamma: float):
-        self.X = X
-        self.gamma = gamma
-        self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.capacity = max(2, _CACHE_BYTES // (8 * X.shape[0]))
-
-    def get(self, i: int) -> np.ndarray:
-        row = self.rows.get(i)
-        if row is None:
-            row = rbf_kernel(self.X[i : i + 1], self.X, self.gamma)[0]
-            if len(self.rows) >= self.capacity:
-                self.rows.popitem(last=False)
-            self.rows[i] = row
-        else:
-            self.rows.move_to_end(i)
-        return row
-
-
 @dataclass(frozen=True)
 class SvmModel:
     spec: ClassifierSpec
@@ -77,7 +56,6 @@ class SvmModel:
     n_features: int
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        X = check_matrix(X, self.n_features)
         if len(self.dual_coef) == 0:
             return np.full(X.shape[0], self.bias, dtype=np.float64)
         K = rbf_kernel(X, self.support_vectors, self.gamma)
@@ -86,7 +64,6 @@ class SvmModel:
 
 class _Smo:
     def __init__(self, X: np.ndarray, y: np.ndarray, C: float, gamma: float, tol: float):
-        self.X = X
         self.y = y.astype(np.float64)
         self.C = C
         self.tol = tol
@@ -95,7 +72,10 @@ class _Smo:
         self.b = 0.0
         # E_i = f(x_i) - y_i; with all alphas at zero, f = b = 0
         self.errors = -self.y.copy()
-        self.cache = _RowCache(X, gamma)
+        # LRU cache of kernel rows K(i, all training points)
+        self.kernel_row = functools.lru_cache(max(2, _CACHE_BYTES // (8 * self.n)))(
+            lambda i: rbf_kernel(X[i : i + 1], X, gamma)[0]
+        )
 
     def _non_bound(self) -> np.ndarray:
         return np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
@@ -115,8 +95,8 @@ class _Smo:
             H = min(self.C, a1 + a2)
         if L >= H:
             return False
-        row1 = self.cache.get(i1)
-        row2 = self.cache.get(i2)
+        row1 = self.kernel_row(i1)
+        row2 = self.kernel_row(i2)
         k11, k12, k22 = row1[i1], row1[i2], row2[i2]
         eta = k11 + k22 - 2.0 * k12
         if eta > 0.0:
@@ -200,14 +180,13 @@ class _Smo:
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> SvmModel:
-    check_train(train, require_both_classes=True)
     hp = spec.resolved()
-    C = float(hp["C"])
-    tol = float(hp["tol"])
+    C = hp["C"]
+    tol = hp["tol"]
 
     X = train.features
     y = np.where(train.labels == 1, 1.0, -1.0)
-    gamma = float(hp["gamma"])
+    gamma = hp["gamma"]
     if gamma == 0.0:
         mean_var = float(X.var(axis=0).mean())
         gamma = 1.0 / (X.shape[1] * mean_var) if mean_var > 0.0 else 1.0 / X.shape[1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..preprocess import Dataset
-from .base import ClassifierSpec, check_matrix, check_train
+from .base import ClassifierSpec
 
 __all__ = ["Tree", "build_tree", "CartModel", "fit"]
 
@@ -163,17 +163,15 @@ class CartModel:
     tree: Tree
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        X = check_matrix(X, self.n_features)
         return self.tree.score_many(X)
 
 
 def fit(spec: ClassifierSpec, train: Dataset) -> CartModel:
-    check_train(train, require_both_classes=False)
     hp = spec.resolved()
     tree = build_tree(
         train.features,
         train.labels,
-        min_samples_split=int(round(hp["min_samples_split"])),
-        max_depth=int(round(hp["max_depth"])),
+        min_samples_split=hp["min_samples_split"],
+        max_depth=hp["max_depth"],
     )
     return CartModel(spec=spec, tree=tree, n_features=train.n_features)

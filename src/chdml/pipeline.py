@@ -48,7 +48,6 @@ from .preprocess import (
     Dataset,
     check_columns,
     OutlierReport,
-    column_stats,
     drop_rows_missing,
     feature_kinds,
     impute_mean,
@@ -269,8 +268,10 @@ class RunReport:
 
 
 def _five_number(values: Sequence[float]) -> tuple[float, float, float, float, float]:
-    stats = column_stats(np.asarray(values, dtype=np.float64))
-    return (stats.min, stats.q1, stats.median, stats.q3, stats.max)
+    """Minimum, quartiles (linear interpolation) and maximum of ``values``."""
+    v = np.asarray(values, dtype=np.float64)
+    q1, median, q3 = np.quantile(v, (0.25, 0.5, 0.75))
+    return (v.min(), q1, median, q3, v.max())
 
 
 def _algo_key(spec: ClassifierSpec, seen: dict[str, int]) -> str:
@@ -407,18 +408,20 @@ def _table_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def emit_tables(report: RunReport, out_dir: str) -> None:
-    """Write the six report files; numbers in CSVs carry 6 decimals."""
+    """Write the six report files, every table read from the one
+    :meth:`RunReport.to_doc` document; numbers in CSVs carry 6 decimals."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    doc = report.to_doc()
 
-    algo_keys = list(report.cv[ARM_ORIGINAL])
+    algo_keys = list(doc["cv"][ARM_ORIGINAL])
     for arm, filename in ((ARM_ORIGINAL, "cv_original.csv"), (ARM_SMOTE, "cv_smote.csv")):
-        summaries = report.cv[arm]
+        summaries = doc["cv"][arm]
         csv_text = _table_csv(
             ["stat", *algo_keys],
             [
-                ["Mean", *(summaries[a].mean for a in algo_keys)],
-                ["Std", *(summaries[a].std for a in algo_keys)],
+                ["Mean", *(summaries[a]["mean"] for a in algo_keys)],
+                ["Std", *(summaries[a]["std"] for a in algo_keys)],
             ],
         )
         (out / filename).write_text(csv_text, encoding="utf-8")
@@ -427,7 +430,7 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
         _table_csv(
             ["arm", *algo_keys],
             [
-                [arm, *(report.cv[arm][a].holdout_auc for a in algo_keys)]
+                [arm, *(doc["holdout"][arm][a] for a in algo_keys)]
                 for arm in (ARM_ORIGINAL, ARM_SMOTE)
             ],
         ),
@@ -437,7 +440,7 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
     box_rows = []
     for arm in (ARM_ORIGINAL, ARM_SMOTE):
         for algo in algo_keys:
-            box_rows.append([arm, algo, *_five_number(report.cv[arm][algo].fold_aucs)])
+            box_rows.append([arm, algo, *doc["boxplot"][arm][algo]])
     (out / "boxplot_stats.csv").write_text(
         _table_csv(["arm", "algorithm", "min", "q1", "median", "q3", "max"], box_rows),
         encoding="utf-8",
@@ -446,7 +449,7 @@ def emit_tables(report: RunReport, out_dir: str) -> None:
     (out / "feature_scores.txt").write_text(
         report.feature_scores.as_text(), encoding="utf-8"
     )
-    write_json(out / "report.json", report.to_doc())
+    write_json(out / "report.json", doc)
 
 
 def write_json(path: Path, doc: Any) -> None:

@@ -1,7 +1,6 @@
 """Cleaning and descriptive statistics for cohort tables.
 
-Covers per-column summaries (quartiles, skewness), mean imputation,
-dropping rows with missing cells, two univariate outlier rules (IQR fence
+Covers mean imputation, dropping rows with missing cells, two univariate outlier rules (IQR fence
 and three-sigma), z-score standardization, and the
 squared-distance kernel shared by SMOTE, KNN and the SVM.
 """
@@ -17,10 +16,8 @@ from .errors import ConfigError, DataError
 from .ingest import CohortTable, FeatureKind, Schema
 
 __all__ = [
-    "ColumnStats",
     "OutlierReport",
     "Dataset",
-    "column_stats",
     "impute_mean",
     "drop_rows_missing",
     "iqr_outlier_mask",
@@ -36,26 +33,6 @@ OUTLIER_METHODS = ("IQR", "Sigma")
 
 #: Most values the difference block of one distance chunk holds; bounds memory.
 _DISTANCE_CHUNK = 4_000_000
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Summary of one column (missing cells excluded by the caller).
-
-    ``std`` uses the sample (n-1) convention; ``skewness`` is the third
-    standardized moment g1 = m3 / m2^(3/2) with 1/n central moments, and is
-    defined as 0 for constant columns.
-    """
-
-    n: int
-    mean: float
-    std: float
-    min: float
-    max: float
-    q1: float
-    median: float
-    q3: float
-    skewness: float
 
 
 @dataclass(frozen=True)
@@ -126,31 +103,6 @@ def _present(values: np.ndarray) -> np.ndarray:
     return v[~np.isnan(v)]
 
 
-def column_stats(values: Sequence[float]) -> ColumnStats:
-    """Describe one column.  Raises :class:`DataError` on no values."""
-    v = _present(np.asarray(values, dtype=np.float64))
-    n = v.size
-    if n == 0:
-        raise DataError("cannot summarize an empty column")
-    mean = float(np.mean(v))
-    std = float(np.std(v, ddof=1)) if n >= 2 else 0.0
-    q1, median, q3 = (float(q) for q in np.quantile(v, (0.25, 0.5, 0.75)))
-    m2 = float(np.mean((v - mean) ** 2))
-    m3 = float(np.mean((v - mean) ** 3))
-    skewness = 0.0 if m2 == 0.0 else m3 / m2**1.5
-    return ColumnStats(
-        n=n,
-        mean=mean,
-        std=std,
-        min=float(v.min()),
-        max=float(v.max()),
-        q1=q1,
-        median=median,
-        q3=q3,
-        skewness=skewness,
-    )
-
-
 def check_columns(schema: Schema, columns: Sequence[str]) -> None:
     """A :class:`ConfigError` for the first of ``columns`` not in ``schema``."""
     for name in columns:
@@ -197,9 +149,8 @@ def iqr_outlier_mask(values: Sequence[float]) -> np.ndarray:
     """Flag values beyond 1.5 interquartile ranges outside [Q1, Q3].
 
     A value x is flagged when x > Q3 + 1.5*IQR or x < Q1 - 1.5*IQR
-    (strict inequalities, IQR = Q3 - Q1).  Quartiles use the same linear
-    interpolation as :func:`column_stats`.  Missing cells are never
-    flagged.  Requires at least 4 present values.
+    (strict inequalities, IQR = Q3 - Q1).  Quartiles are ``np.quantile``'s
+    default linear interpolation.  Missing cells are never flagged.  Requires at least 4 present values.
     """
     v = np.asarray(values, dtype=np.float64)
     present = _present(v)

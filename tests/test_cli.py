@@ -290,6 +290,11 @@ class TestExitCodes:
                 None, 2,
                 "configuration error: {schema}: schema must declare exactly one target",
             ),
+            (
+                '[{"name": "Age", "kind": "continuous"}, {"name": "age", "kind": "continuous"},'
+                ' {"name": "y", "kind": "binary", "target": true}]',
+                None, 2, "configuration error: {schema}: schema column names must be unique",
+            ),
             (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
             (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
             (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
@@ -297,7 +302,7 @@ class TestExitCodes:
         ids=[
             "schema-entry-without-name", "schema-not-json", "schema-not-an-array",
             "schema-unknown-kind", "schema-text-bound", "schema-no-target",
-            "inf", "-inf", "nan",
+            "schema-names-differ-in-case", "inf", "-inf", "nan",
         ],
     )
     def test_malformed_input_is_one_line(

@@ -1,10 +1,15 @@
-"""numpy is the package's only runtime dependency: every other import is stdlib."""
+"""numpy is the package's only runtime dependency: every other import is stdlib.
+The tests need only what the ``test`` extra of ``pyproject.toml`` lists."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "chdml"
+import pytest
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "chdml"
 
 
 def absolute_imports(path):
@@ -26,3 +31,21 @@ def test_only_stdlib_and_numpy_are_imported():
         if name != "numpy" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    extra = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in project["project"]["optional-dependencies"]["test"]
+    }
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    assert files
+    undeclared = {
+        f"{path.name}: {name}"
+        for path in files
+        for name in absolute_imports(path)
+        if name not in {"chdml", "numpy", *extra} and name not in sys.stdlib_module_names
+    }
+    assert not undeclared

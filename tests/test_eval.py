@@ -7,6 +7,7 @@ import chdml
 from chdml.errors import ConfigError, DataError
 from chdml.eval import (
     SmoteMode,
+    _midranks,
     cross_validate,
     grid_search,
     holdout_evaluate,
@@ -60,6 +61,43 @@ class TestRocAuc:
             ties = (pos[:, None] == neg[None, :]).sum()
             expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
             assert roc_auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_the_midrank_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            n = int(rng.integers(2, 80))
+            labels = np.arange(n) % 2
+            rng.shuffle(labels)
+            grid = [0.0, -0.0, 0.5, 1.0, -np.inf, np.inf, 1e-300]
+            scores = rng.choice(grid[: int(rng.integers(1, len(grid) + 1))], n)
+            if trial % 3 == 0:
+                scores = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            ranks = _midranks_loop(scores)
+            assert ranks.tobytes() == _midranks(scores).tobytes()
+            r1 = float(ranks[labels == 1].sum())
+            n1, n0 = int(labels.sum()), int((labels == 0).sum())
+            expected = (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+            assert np.float64(roc_auc(scores, labels)).tobytes() == np.float64(expected).tobytes()
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="contain NaN"):
+            roc_auc(np.array([0.1, np.nan, 0.2]), np.array([0, 1, 1]))
+
+
+def _midranks_loop(values):
+    """The midrank loop ``eval._midranks`` replaced, kept as its reference."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def two_blobs(n0=30, n1=20, seed=0):

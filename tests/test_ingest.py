@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chdml
-from chdml.errors import DataError
+from chdml.errors import ConfigError, DataError
 from chdml.ingest import FRAMINGHAM, CohortTable, FeatureKind, Schema, schema_from_json
 
 
@@ -57,6 +57,22 @@ class TestSchema:
         assert schema.names == ("x", "y")
         assert schema.target_name == "y"
 
+    def test_from_json_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "schema.json"
+        text = '[{"name": "x", "kind": "continuous"}, {"name": "y", "kind": "binary", "target": true}]'
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert schema_from_json(str(path)).names == ("x", "y")
+
+    def test_names_differing_only_in_case_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            '[{"name": "Age", "kind": "continuous"}, {"name": "age", "kind": "continuous"},'
+            ' {"name": "y", "kind": "binary", "target": true}]',
+            "schema.json",
+        )
+        with pytest.raises(ConfigError, match=f"{path}: schema column names must be unique"):
+            schema_from_json(path)
+
     def test_kind_aliases(self):
         assert FeatureKind.from_string("BinaryNominal") is FeatureKind.BINARY
         assert FeatureKind.from_string("real") is FeatureKind.CONTINUOUS
@@ -74,6 +90,22 @@ class TestLoadCsv:
         table = chdml.load_csv(write(tmp_path, text))
         assert "sex" in table.columns
         assert "male" not in table.columns
+
+    def test_schema_column_named_male_is_not_aliased(self, tmp_path):
+        path = write(
+            tmp_path,
+            '[{"name": "male", "kind": "binary"}, {"name": "y", "kind": "binary", "target": true}]',
+            "schema.json",
+        )
+        table = chdml.load_csv(write(tmp_path, "male,y\n1,0\n0,1\n"), schema_from_json(path))
+        assert table.column("male").tolist() == [1.0, 0.0]
+        assert table.column("y").tolist() == [0.0, 1.0]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = mini_csv([ROW_A, ROW_B])
+        plain = chdml.load_csv(write(tmp_path, text))
+        marked = chdml.load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"))
+        assert marked == plain
 
     def test_header_case_insensitive(self, tmp_path):
         text = mini_csv([ROW_A]).replace("age", "AGE", 1)

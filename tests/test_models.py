@@ -23,13 +23,19 @@ from chdml.models import (
     threshold_for,
 )
 from chdml.models.linear import nll_gradient, nll_loss
-from chdml.models.svm import _RowCache
+from chdml.models.svm import _Smo
 from chdml.preprocess import Dataset, sq_distance_chunks
 
 XOR = Dataset(
     np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
     np.array([0, 1, 1, 0]),
 )
+
+
+#: Hyperparameters whose default is an integer.
+INTEGER_HYPERPARAMETERS = {
+    "max_iter", "k", "min_samples_split", "max_depth", "n_trees", "mtry", "bootstrap",
+}
 
 
 def blobs(n_per=20, d=2, gap=3.0, seed=0):
@@ -69,6 +75,24 @@ class TestSpec:
         spec = ClassifierSpec("SVM", hyperparameters={"C": 2.0}, seed=5)
         again = ClassifierSpec.from_doc(spec.to_doc())
         assert again == spec
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_resolved_types_follow_the_defaults(self, algorithm):
+        defaults = ClassifierSpec(algorithm).resolved()
+        fractions = {name: float(value) + 0.25 for name, value in defaults.items()}
+        integers = {name: int(value) + 1 for name, value in defaults.items()}
+        for overrides in ({}, fractions, integers):
+            hp = ClassifierSpec(algorithm, overrides).resolved()
+            for name, value in hp.items():
+                kind = int if name in INTEGER_HYPERPARAMETERS else float
+                assert type(value) is kind, (name, value)
+
+    def test_resolved_rounds_integer_hyperparameters(self):
+        assert ClassifierSpec("KNN", {"k": 3.0}).resolved() == {"k": 3}
+        assert ClassifierSpec("KNN", {"k": 2.5}).resolved() == {"k": 2}
+        assert ClassifierSpec("RF", {"n_trees": 6.6}).resolved()["n_trees"] == 7
+        # the echo keeps the value as given
+        assert ClassifierSpec("KNN", {"k": 3.0}).to_doc()["hyperparameters"] == {"k": 3.0}
 
 
 class TestLogistic:
@@ -264,12 +288,13 @@ class TestSvm:
         assert threshold_for(model) == 0.0
 
     def test_kernel_row_is_rbf_of_distance_row(self):
-        X = blobs(seed=11).features
+        data = blobs(seed=11)
+        X = data.features
         gamma = 0.3
-        cache = _RowCache(X, gamma)
+        solver = _Smo(X, np.where(data.labels == 1, 1.0, -1.0), C=1.0, gamma=gamma, tol=1e-3)
         d2 = np.vstack([chunk for _, chunk in sq_distance_chunks(X, X)])
-        for i in (0, 17, len(X) - 1):
-            assert np.array_equal(cache.get(i), np.exp(-gamma * d2[i]))
+        for i in (0, 17, len(X) - 1, 0):
+            assert np.array_equal(solver.kernel_row(i), np.exp(-gamma * d2[i]))
 
 
 class TestDispatch:
@@ -466,6 +491,25 @@ class TestDispatch:
         model = fit(ClassifierSpec("NB"), data)
         with pytest.raises(DataError, match="expected a vector of length 2"):
             score(model, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_wrong_width_is_data_error(self, algorithm):
+        model = fit(ClassifierSpec(algorithm), blobs(seed=15))
+        with pytest.raises(DataError, match="expected a matrix with 2 columns"):
+            score_many(model, np.ones((4, 3)))
+        with pytest.raises(DataError, match="expected a matrix with 2 columns"):
+            score_many(model, np.ones(3))
+        for x in (np.ones(3), np.ones(1), np.ones((1, 2))):
+            with pytest.raises(DataError, match="expected a vector of length 2"):
+                score(model, x)
+            with pytest.raises(DataError, match="expected a vector of length 2"):
+                predict(model, x)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_empty_train_rejected(self, algorithm):
+        empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=int))
+        with pytest.raises(DataError, match="training data is empty"):
+            fit(ClassifierSpec(algorithm), empty)
 
     @pytest.mark.parametrize("algorithm", ["LR", "NB", "SVM"])
     def test_single_class_train_rejected(self, algorithm):

@@ -9,7 +9,7 @@ import chdml
 from chdml.errors import ConfigError
 from chdml.eval import SmoteMode
 from chdml.pipeline import (
-    ARM_ORIGINAL, ARM_SMOTE, DEFAULT_CONFIG, PipelineConfig, run_pipeline,
+    ARM_ORIGINAL, ARM_SMOTE, DEFAULT_CONFIG, PipelineConfig, _five_number, run_pipeline,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -63,6 +63,11 @@ class TestConfig:
         config = PipelineConfig.from_file(str(path))
         assert config.cv_k == 5
         assert config.seed == 3
+
+    def test_from_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("\ufeff" + json.dumps({"cv_k": 4}), encoding="utf-8")
+        assert PipelineConfig.from_file(str(path)).cv_k == 4
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.json"
@@ -201,6 +206,12 @@ class TestRunPipeline:
         ).read_text().splitlines()
         assert lines[0] == "arm,algorithm,min,q1,median,q3,max"
         assert len(lines) == 1 + 2 * 3  # two arms x three algorithms
+
+    def test_five_number_summary(self):
+        assert _five_number([1, 2, 3, 4, 100]) == (1, 2, 3, 4, 100)
+        # quartiles interpolate linearly between order statistics
+        assert _five_number([0.0, 1.0]) == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert _five_number([0.5]) == (0.5,) * 5
 
     def test_report_json_complete(self, run):
         config, _ = run

@@ -1,4 +1,4 @@
-"""Cleaning stages: stats, imputation, outlier masks, standardization.
+"""Cleaning stages: imputation, outlier masks, standardization.
 
 Expected numbers were worked out by hand (or with a throwaway script
 evaluating the textbook formulas directly) before being frozen here.
@@ -12,40 +12,11 @@ from chdml import preprocess
 from chdml.errors import ConfigError, DataError
 from chdml.preprocess import (
     Dataset,
-    column_stats,
     iqr_outlier_mask,
     sigma_outlier_mask,
     sq_distance_chunks,
     standardize,
 )
-
-
-class TestColumnStats:
-    # For [1, 2, 3, 4, 100]: mean 22, sample std sqrt(9514/5) ... no --
-    # variance = (21^2+20^2+19^2+18^2+78^2)/4 = 7609/4, std = 43.617657.
-    # Skewness uses 1/n moments: m2 = 7609/5, m3 = g, m3/m2^1.5 = 1.497537.
-    def test_spiked_column(self):
-        stats = column_stats(np.array([1.0, 2, 3, 4, 100]))
-        assert stats.n == 5
-        assert stats.mean == pytest.approx(22.0)
-        assert stats.std == pytest.approx(43.617656975128774)
-        assert stats.skewness == pytest.approx(1.4975367033335198)
-        assert (stats.q1, stats.median, stats.q3) == (2.0, 3.0, 4.0)
-        assert (stats.min, stats.max) == (1.0, 100.0)
-
-    def test_nan_dropped(self):
-        stats = column_stats(np.array([1.0, np.nan, 3.0]))
-        assert stats.n == 2
-        assert stats.mean == 2.0
-
-    def test_constant_column(self):
-        stats = column_stats(np.array([5.0, 5.0, 5.0]))
-        assert stats.std == 0.0
-        assert stats.skewness == 0.0
-
-    def test_all_nan_rejected(self):
-        with pytest.raises(DataError, match="cannot summarize an empty column"):
-            column_stats(np.array([np.nan, np.nan]))
 
 
 class TestImpute:
