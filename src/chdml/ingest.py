@@ -21,7 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ MISSING_TOKENS = frozenset({"", "na"})
 #: used only for a header that names no schema column itself.  Public
 #: exports of this cohort commonly name the sex column ``male``.
 HEADER_ALIASES: Mapping[str, str] = {"male": "sex"}
+
+#: Rows that :func:`load_csv` parses, and :func:`write_csv` formats, at a time.
+_BLOCK = 8192
 
 
 class FeatureKind(enum.Enum):
@@ -278,14 +281,101 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
     return order
 
 
+def _column_values(texts: list[str], col: Column) -> np.ndarray | None:
+    """One column of a block as float64, or ``None`` when some cell may break
+    a rule of :func:`_parse_cell`; the caller then re-parses the block with it."""
+    try:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:  # a missing token, or text float() rejects
+        try:
+            values = np.array(
+                [math.nan if t.strip().lower() in MISSING_TOKENS else float(t) for t in texts]
+            )
+        except ValueError:
+            return None
+    odd = ~np.isfinite(values)
+    if odd.any() and (
+        col.target
+        or not all(texts[i].strip().lower() in MISSING_TOKENS for i in np.flatnonzero(odd))
+    ):
+        return None  # a missing target, or a literal nan or inf
+    if col.kind is FeatureKind.BINARY and not ((values == 0.0) | (values == 1.0) | odd).all():
+        return None
+    if col.kind is FeatureKind.ORDINAL:
+        present = values[~odd]
+        if (present != np.trunc(present)).any():
+            return None
+        # Python float comparisons, exactly as _parse_cell makes them
+        if present.size and (
+            (col.low is not None and float(present.min()) < col.low)
+            or (col.high is not None and float(present.max()) > col.high)
+        ):
+            return None
+    return values
+
+
+def _parse_block(
+    rows: list[list[str]], numbers: list[int], schema: Schema, positions: list[int]
+) -> list[np.ndarray]:
+    """Parse a block of rows into one float64 vector per schema column.
+
+    Each column is parsed with ``float()`` and checked with numpy.  When a
+    column fails, :func:`_parse_cell` parses the block row by row, in schema
+    order, so the first bad cell raises its usual error.
+    """
+    columns = [
+        _column_values([row[pos] for row in rows], col)
+        for col, pos in zip(schema.columns, positions)
+    ]
+    if all(c is not None for c in columns):
+        return columns
+    cells = [
+        [_parse_cell(row[pos], col, number) for col, pos in zip(schema.columns, positions)]
+        for row, number in zip(rows, numbers)
+    ]
+    return [np.array(c, dtype=np.float64) for c in zip(*cells)]
+
+
+def _row_blocks(
+    reader: Iterator[list[str]], width: int, path: str
+) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows.
+
+    A row with the wrong field count, or text that is not UTF-8, ends the
+    current block early: the block is yielded, so that its cells are checked
+    and an earlier bad cell is reported first, and then the error is raised.
+    Blocks may be empty.
+    """
+    rows: list[list[str]] = []
+    numbers: list[int] = []
+    try:
+        for number, row in enumerate(reader, start=1):
+            if not any(map(str.strip, row)):
+                continue  # ignore blank lines
+            if len(row) != width:
+                yield rows, numbers
+                raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
+            rows.append(row)
+            numbers.append(number)
+            if len(rows) == _BLOCK:
+                yield rows, numbers
+                rows, numbers = [], []
+    except UnicodeDecodeError:
+        yield rows, numbers
+        raise
+    yield rows, numbers
+
+
 def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     """Parse ``path`` into a :class:`CohortTable` laid out in schema order.
 
-    Raises :class:`DataError` for a header that is missing, repeats or
-    adds a column, for a cell that does not parse (naming its 1-based data
-    row and its column), and, naming ``path``, for a file that is not
-    UTF-8 text.
+    Rows are parsed and checked a block at a time.  Raises
+    :class:`DataError` for a header that is missing, repeats or adds a
+    column, for a cell that does not parse (naming its 1-based data row and
+    its column; the first such cell in the file), and, naming ``path``, for
+    a row with the wrong field count or a file that is not UTF-8 text.
     """
+    parts: list[list[np.ndarray]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -294,22 +384,14 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
             except StopIteration:
                 raise DataError(f"{path}: file is empty (no header row)") from None
             positions = _match_header(header, schema)
-            cells: list[list[float]] = [[] for _ in schema.columns]
-            for row_number, row in enumerate(reader, start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue  # ignore blank lines
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: row {row_number} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                for col, pos, bucket in zip(schema.columns, positions, cells):
-                    bucket.append(_parse_cell(row[pos], col, row_number))
+            for rows, numbers in _row_blocks(reader, len(header), path):
+                if rows:
+                    parts.append(_parse_block(rows, numbers, schema, positions))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     columns = {
-        col.name: np.asarray(bucket, dtype=np.float64)
-        for col, bucket in zip(schema.columns, cells)
+        col.name: np.concatenate([p[i] for p in parts]) if parts else np.empty(0)
+        for i, col in enumerate(schema.columns)
     }
     table = CohortTable(schema, columns)
     log.info("loaded %s: %d rows, %d columns", path, table.row_count, len(schema.columns))
@@ -322,14 +404,19 @@ def write_csv(table: CohortTable, path: str) -> None:
     Missing cells are written as ``NA``; numbers use ``repr`` so values
     survive the round trip bit-for-bit.
     """
+    vectors = [table.columns[n] for n in table.schema.names]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.schema.names)
-        vectors = [table.columns[n] for n in table.schema.names]
-        for i in range(table.row_count):
-            writer.writerow(
-                "NA" if np.isnan(v[i]) else repr(float(v[i])) for v in vectors
-            )
+        for start in range(0, table.row_count, _BLOCK):
+            cols = []
+            for vector in vectors:
+                block = vector[start : start + _BLOCK]
+                cells = block.tolist()  # csv writes a float as its repr
+                for i in np.flatnonzero(np.isnan(block)).tolist():
+                    cells[i] = "NA"
+                cols.append(cells)
+            writer.writerows(zip(*cols))
 
 
 def read_json(path: str) -> Any:

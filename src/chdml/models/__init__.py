@@ -66,12 +66,6 @@ __all__ = [
     "model_from_json",
     "save_model",
     "load_model",
-    "LogisticModel",
-    "NaiveBayesModel",
-    "KnnModel",
-    "CartModel",
-    "ForestModel",
-    "SvmModel",
 ]
 
 TrainedModel = Union[
@@ -237,7 +231,7 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -1,13 +1,26 @@
-"""CSV loading, schema validation, and the missing-value report."""
+"""CSV loading, schema validation, and the missing-value report.
 
+``reference_write_csv`` below is the per-row writer that the blocked
+``write_csv`` replaced, kept as the reference for its bytes.
+"""
+
+import csv
 import math
 
 import numpy as np
 import pytest
 
 import chdml
+from chdml import ingest
 from chdml.errors import ConfigError, DataError
-from chdml.ingest import FRAMINGHAM, CohortTable, FeatureKind, Schema, schema_from_json
+from chdml.ingest import (
+    _BLOCK,
+    FRAMINGHAM,
+    CohortTable,
+    FeatureKind,
+    Schema,
+    schema_from_json,
+)
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -29,6 +42,36 @@ def mini_csv(rows):
 ROW_A = "1,44,2,1,20,0,0,0,0,210,130.5,82,26.4,75,80,0\n"
 ROW_B = "0,51,3,0,0,0,0,1,0,240,145,90,29.1,68,NA,1\n"
 ROW_C = "0,39,1,0,0,0,0,0,0,185,118,76,22.8,80,90,0\n"
+ROW_D = "0,60,,0,0,NA,0,1,0, na ,150,95,,70,100,1\n"  # other spellings of missing
+
+
+def reference_write_csv(table, path):
+    """The per-row writer that ``write_csv`` replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(table.schema.names)
+        vectors = [table.columns[n] for n in table.schema.names]
+        for i in range(table.row_count):
+            writer.writerow(
+                "NA" if np.isnan(v[i]) else repr(float(v[i])) for v in vectors
+            )
+
+
+def random_table(n, seed=0):
+    """A FRAMINGHAM table of ``n`` rows, a tenth of its predictor cells missing."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for col in FRAMINGHAM.columns:
+        if col.kind is FeatureKind.BINARY:
+            values = rng.integers(0, 2, n).astype(float)
+        elif col.kind is FeatureKind.ORDINAL:
+            values = rng.integers(1, 5, n).astype(float)
+        else:
+            values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-300, 300, n)
+        if not col.target:
+            values[rng.random(n) < 0.1] = np.nan
+        columns[col.name] = values
+    return CohortTable(FRAMINGHAM, columns)
 
 
 class TestSchema:
@@ -158,6 +201,107 @@ class TestLoadCsv:
         chdml.write_csv(table, str(out))
         again = chdml.load_csv(str(out))
         assert again == table
+
+
+class TestBlockedRead:
+    """Errors name the same row and column as a row-by-row read would."""
+
+    LONG = _BLOCK + 5  # data rows in a file longer than one block
+
+    @pytest.mark.parametrize(
+        "old, new, column, reason",
+        [
+            (",44,", ",forty,", "age", ""),
+            (",44,", ",nan,", "age", "not a finite number"),
+            (",44,", ",inf,", "age", "not a finite number"),
+            (",44,", ",-inf,", "age", "not a finite number"),
+            ("1,44,2,", "2,44,2,", "sex", "expected 0 or 1"),
+            (",2,1,20,", ",2.5,1,20,", "education", "expected an integer"),
+            (",2,1,20,", ",0,1,20,", "education", "outside [1, 4]"),
+            (",80,0\n", ",80,NA\n", "TenYearCHD", "target may not be missing"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_bad_cell_named_by_row_and_column(self, tmp_path, old, new, column, reason, where):
+        bad = ROW_A.replace(old, new, 1)
+        text = bad.split(",")[FRAMINGHAM.names.index(column)].strip()
+        rows = [ROW_A] * self.LONG
+        rows.insert(0 if where == "first" else self.LONG, bad)
+        row = 1 if where == "first" else self.LONG + 1
+        detail = f" ({reason})" if reason else ""
+        message = f"row {row}, column {column!r}: cannot parse {text!r}{detail}"
+        with pytest.raises(DataError) as exc:
+            chdml.load_csv(write(tmp_path, mini_csv(rows)))
+        assert str(exc.value) == message
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        rows = [ROW_A, "\n", ROW_B] + [ROW_C] * _BLOCK + [ROW_A.replace(",44,", ",x,")]
+        with pytest.raises(DataError, match=f"^row {_BLOCK + 4}, column 'age'"):
+            chdml.load_csv(write(tmp_path, mini_csv(rows)))
+
+    def test_missing_target_after_the_first_row_of_a_block(self, tmp_path):
+        rows = [ROW_A] * (_BLOCK + 3) + [ROW_B.replace(",NA,1\n", ",NA,\n")]
+        with pytest.raises(DataError, match=f"^row {_BLOCK + 4}, column 'TenYearCHD'"):
+            chdml.load_csv(write(tmp_path, mini_csv(rows)))
+
+    def test_bad_cell_reported_before_a_later_field_count_error(self, tmp_path):
+        rows = [ROW_A, ROW_A.replace(",44,", ",x,"), ROW_A, "1,2,3\n", ROW_B]
+        with pytest.raises(DataError, match="^row 2, column 'age': cannot parse 'x'$"):
+            chdml.load_csv(write(tmp_path, mini_csv(rows)))
+
+    def test_field_count_error_reported_before_a_later_bad_cell(self, tmp_path):
+        path = write(tmp_path, mini_csv([ROW_A, "1,2,3\n", ROW_A.replace(",44,", ",x,")]))
+        with pytest.raises(DataError, match="row 2 has 3 fields, expected 16$"):
+            chdml.load_csv(path)
+
+    def test_bad_cell_reported_before_later_bytes_that_are_not_utf8(self, tmp_path):
+        # more than one read-ahead chunk of text comes before the bad byte
+        rows = [ROW_A.replace(",44,", ",x,")] + [ROW_A] * 400
+        path = tmp_path / "t.csv"
+        path.write_bytes(mini_csv(rows).encode() + b"\xff\n")
+        with pytest.raises(DataError, match="^row 1, column 'age'"):
+            chdml.load_csv(str(path))
+
+    def test_missing_spellings_and_rejected_nan(self, tmp_path):
+        table = chdml.load_csv(write(tmp_path, mini_csv([ROW_A, ROW_D])))
+        for name in ("education", "BPMeds", "totChol", "BMI"):
+            assert math.isnan(table.column(name)[1])
+        with pytest.raises(DataError, match="cannot parse 'nan'"):
+            chdml.load_csv(write(tmp_path, mini_csv([ROW_D.replace(" na ", "nan")])))
+
+    def test_blank_lines_on_block_edges_skipped(self, tmp_path):
+        blank = ["\n", " , ," + "," * 13 + "\n"]
+        rows = [ROW_A, ROW_B, ROW_C, ROW_D] * (_BLOCK // 2)
+        edged = blank + rows[: _BLOCK - 1] + blank + rows[_BLOCK - 1 :] + blank
+        expected = chdml.load_csv(write(tmp_path, mini_csv(rows)))
+        assert chdml.load_csv(write(tmp_path, mini_csv(edged), "edged.csv")) == expected
+
+    def test_well_formed_blocks_never_parse_cell_by_cell(self, tmp_path, monkeypatch):
+        calls = []
+        parse_cell = ingest._parse_cell
+        monkeypatch.setattr(
+            ingest, "_parse_cell", lambda *args: calls.append(args) or parse_cell(*args)
+        )
+        rows = [ROW_A, ROW_B, ROW_C, ROW_D] * (_BLOCK // 2 + 1)
+        table = chdml.load_csv(write(tmp_path, mini_csv(rows)))
+        assert table.row_count == len(rows)
+        assert calls == []
+        with pytest.raises(DataError):
+            chdml.load_csv(write(tmp_path, mini_csv(rows + ["x" + ROW_A[1:]])))
+        assert calls  # the patch is in the path a bad block takes
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_same_bytes_as_the_row_writer_and_round_trip(self, tmp_path, n):
+        table = random_table(n, seed=n)
+        chdml.write_csv(table, str(tmp_path / "new.csv"))
+        reference_write_csv(table, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        again = chdml.load_csv(str(tmp_path / "new.csv"))
+        assert again == table
+        for name in FRAMINGHAM.names:
+            assert again.column(name).tobytes() == table.column(name).tobytes()
 
 
 class TestCohortTable:

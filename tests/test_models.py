@@ -464,6 +464,16 @@ class TestDispatch:
         with pytest.raises(DataError, match="malformed model file: "):
             model_from_json(json.dumps(doc))
 
+    def test_model_file_with_byte_order_mark_loads(self, tmp_path):
+        data = blobs(seed=14)
+        model = fit(ClassifierSpec("NB"), data)
+        path = tmp_path / "model.json"
+        path.write_text("\ufeff" + model_to_json(model), encoding="utf-8")
+        again = load_model(str(path))
+        assert np.array_equal(
+            score_many(model, data.features), score_many(again, data.features)
+        )
+
     def test_non_utf8_model_file_names_path(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff")
