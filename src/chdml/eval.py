@@ -2,16 +2,17 @@
 hold-out testing, oversampling placement modes, and grid search.
 
 Oversampling placement is a first-class choice because it changes results
-dramatically on imbalanced data:
+dramatically on imbalanced data.  Both :func:`iter_cv_splits` and
+:func:`holdout_split` place it by these rules:
 
 * ``NONE`` — evaluate the data as-is.
 * ``PAPER_FAITHFUL`` — resample the full dataset to parity *before*
   folding or splitting.  Synthetic rows then land in evaluation folds,
   which inflates scores; provided because the workflow being reproduced
   behaves this way.
-* ``LEAKAGE_FREE`` — resample only the training side inside each fold or
-  split.  Held-out rows are always original rows.  This is the
-  methodologically sound option.
+* ``LEAKAGE_FREE`` — resample only the training side of each fold (fold
+  ``f`` seeded by ``child_seed(params.seed, f)``) or of the split.
+  Held-out rows are always original rows.  The sound option.
 
 Models that are sensitive to feature scale (LR, SVM, KNN) see z-scored
 features, with statistics always taken from the (possibly resampled)
@@ -42,6 +43,8 @@ __all__ = [
     "stratified_kfold",
     "roc_auc",
     "iter_cv_splits",
+    "holdout_split",
+    "score_folds",
     "cross_validate",
     "holdout_evaluate",
     "grid_search",
@@ -183,13 +186,7 @@ def iter_cv_splits(
     mode: SmoteMode = SmoteMode.NONE,
     smote_params: SmoteParams | None = None,
 ) -> Iterator[tuple[Dataset, Dataset]]:
-    """Yield (train, test) datasets per fold with the mode applied.
-
-    PAPER_FAITHFUL resamples the whole dataset before folding, so
-    synthetic rows appear on both sides.  LEAKAGE_FREE resamples each
-    fold's training side only (with a per-fold derived seed); the test
-    side is always original rows.
-    """
+    """Yield (train, test) datasets per fold, placed as the module docstring says."""
     params = smote_params or SmoteParams()
     data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
     folds = stratified_kfold(data, k, seed)
@@ -202,6 +199,20 @@ def iter_cv_splits(
             fold_params = dataclasses.replace(params, seed=child_seed(params.seed, f))
             train = smote(train, fold_params)
         yield train, test
+
+
+def holdout_split(
+    dataset: Dataset,
+    seed: int,
+    mode: SmoteMode = SmoteMode.NONE,
+    smote_params: SmoteParams | None = None,
+    test_fraction: float = 0.2,
+) -> tuple[Dataset, Dataset]:
+    """The stratified hold-out (train, test) pair, placed as the module docstring says."""
+    params = smote_params or SmoteParams()
+    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
+    train, test = stratified_split(data, test_fraction, seed)
+    return (smote(train, params) if mode is SmoteMode.LEAKAGE_FREE else train), test
 
 
 def _fit_and_score(
@@ -219,6 +230,36 @@ def _fit_and_score(
     return auc, accuracy, bool(getattr(model, "converged", True))
 
 
+def score_folds(
+    specs: Sequence[ClassifierSpec],
+    dataset: Dataset,
+    k: int,
+    seed: int,
+    mode: SmoteMode = SmoteMode.NONE,
+    smote_params: SmoteParams | None = None,
+    test_fraction: float | None = None,
+) -> list[EvalSummary]:
+    """Cross-validate every spec on the same folds, built one at a time;
+    fold ``f`` fits each spec with ``child_seed(spec.seed, f)``.  With a
+    ``test_fraction`` each spec is then fitted with its own seed on
+    :func:`holdout_split`, built after the last fold, for ``holdout_auc``."""
+    fits = []  # fits[f][i]: (AUC, accuracy, converged) of specs[i] on fold f
+    for f, (train, test) in enumerate(iter_cv_splits(dataset, k, seed, mode, smote_params)):
+        fits.append([_fit_and_score(s.replace(seed=child_seed(s.seed, f)), train, test)
+                     for s in specs])
+    holdout = None if test_fraction is None else holdout_split(
+        dataset, seed, mode, smote_params, test_fraction)
+    summaries = []
+    for spec, per_fold in zip(specs, zip(*fits)):
+        aucs, accs, flags = zip(*per_fold)
+        summaries.append(EvalSummary(
+            spec=spec, mode=mode, fold_aucs=aucs, mean=float(np.mean(aucs)),
+            std=float(np.std(aucs, ddof=1)), fold_accuracies=accs, fold_converged=flags,
+            holdout_auc=None if holdout is None else _fit_and_score(spec, *holdout)[0],
+        ))
+    return summaries
+
+
 def cross_validate(
     spec: ClassifierSpec,
     dataset: Dataset,
@@ -228,25 +269,7 @@ def cross_validate(
     smote_params: SmoteParams | None = None,
 ) -> EvalSummary:
     """Stratified k-fold cross-validation summarized by mean/std ROC-AUC."""
-    aucs, accs, flags = [], [], []
-    for f, (train, test) in enumerate(
-        iter_cv_splits(dataset, k, seed, mode, smote_params)
-    ):
-        fold_spec = spec.replace(seed=child_seed(spec.seed, f))
-        auc, acc, ok = _fit_and_score(fold_spec, train, test)
-        aucs.append(auc)
-        accs.append(acc)
-        flags.append(ok)
-    arr = np.asarray(aucs)
-    return EvalSummary(
-        spec=spec,
-        mode=mode,
-        fold_aucs=tuple(aucs),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if len(aucs) >= 2 else 0.0,
-        fold_accuracies=tuple(accs),
-        fold_converged=tuple(flags),
-    )
+    return score_folds([spec], dataset, k, seed, mode, smote_params)[0]
 
 
 def holdout_evaluate(
@@ -257,17 +280,8 @@ def holdout_evaluate(
     smote_params: SmoteParams | None = None,
     test_fraction: float = 0.2,
 ) -> float:
-    """Single stratified split, fit on train, ROC-AUC on the test side.
-
-    PAPER_FAITHFUL resamples before the split (test side contaminated,
-    by design); LEAKAGE_FREE resamples the training side after the split.
-    The model is fitted with ``spec``'s own seed.
-    """
-    params = smote_params or SmoteParams()
-    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
-    train, test = stratified_split(data, test_fraction, seed)
-    if mode is SmoteMode.LEAKAGE_FREE:
-        train = smote(train, params)
+    """ROC-AUC of ``spec`` fitted with its own seed on :func:`holdout_split`."""
+    train, test = holdout_split(dataset, seed, mode, smote_params, test_fraction)
     return _fit_and_score(spec, train, test)[0]
 
 
@@ -280,7 +294,8 @@ def grid_search(
     mode: SmoteMode = SmoteMode.NONE,
     smote_params: SmoteParams | None = None,
 ) -> tuple[ClassifierSpec, float, list[dict[str, Any]]]:
-    """Exhaustive hyperparameter sweep scored by CV mean ROC-AUC.
+    """Exhaustive hyperparameter sweep scored by CV mean ROC-AUC, every
+    cell on the same folds.
 
     Returns the best spec (ties keep the earlier grid cell), its mean
     AUC, and one table row per cell.  Unknown hyperparameter names fail
@@ -288,21 +303,9 @@ def grid_search(
     """
     if not grid:
         raise ConfigError("grid must name at least one hyperparameter")
-    names = list(grid)
-    best_spec: ClassifierSpec | None = None
-    best_mean = -np.inf
-    table: list[dict[str, Any]] = []
-    for values in itertools.product(*(grid[n] for n in names)):
-        cell = dict(zip(names, (float(v) for v in values)))
-        merged = dict(spec.hyperparameters)
-        merged.update(cell)
-        cell_spec = spec.replace(hyperparameters=merged)
-        summary = cross_validate(cell_spec, dataset, k, seed, mode, smote_params)
-        table.append(
-            {"hyperparameters": cell, "mean": summary.mean, "std": summary.std}
-        )
-        if summary.mean > best_mean:
-            best_mean = summary.mean
-            best_spec = cell_spec
-    assert best_spec is not None
-    return best_spec, float(best_mean), table
+    cells = [dict(zip(grid, map(float, values))) for values in itertools.product(*grid.values())]
+    specs = [spec.replace(hyperparameters={**spec.hyperparameters, **cell}) for cell in cells]
+    summaries = score_folds(specs, dataset, k, seed, mode, smote_params)
+    table = [{"hyperparameters": c, "mean": s.mean, "std": s.std} for c, s in zip(cells, summaries)]
+    best = max(summaries, key=lambda s: s.mean)  # the first of equal means
+    return best.spec, best.mean, table

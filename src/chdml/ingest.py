@@ -433,10 +433,10 @@ def schema_from_json(path: str) -> Schema:
     """Load a schema from a JSON array of ``{name, kind, target}`` objects.
 
     Objects may carry optional ``low``/``high`` bounds for ordinal columns.
-    A file that is not a JSON array, or an entry without a name, a known kind
-    or numeric bounds, raises :class:`ConfigError` naming the path and the
-    entry's index; a schema without exactly one binary target, or with a
-    repeated name, raises :class:`ConfigError` naming the path.
+    A file that is not a JSON array, or an entry without a string name, a
+    known kind, a boolean ``target`` or numeric bounds, raises :class:`ConfigError`
+    naming the path and the entry's index; a schema without exactly one
+    binary target, or with a repeated name, raises it naming the path.
     """
     raw = read_json(path)
     if not isinstance(raw, list):
@@ -451,6 +451,10 @@ def schema_from_json(path: str) -> Schema:
             kind = FeatureKind.from_string(str(entry["kind"]))
         except DataError as exc:
             raise ConfigError(f"{path}: schema entry {i}: {exc}") from None
+        if not isinstance(entry["name"], str) or entry.get("target", False) not in (False, True):
+            raise ConfigError(
+                f'{path}: schema entry {i}: "name" must be a string and "target" a boolean'
+            )
         low, high = entry.get("low"), entry.get("high")
         if not all(b is None or type(b) in (int, float) for b in (low, high)):
             raise ConfigError(
@@ -458,7 +462,7 @@ def schema_from_json(path: str) -> Schema:
             )
         cols.append(
             Column(
-                name=str(entry["name"]),
+                name=entry["name"],
                 kind=kind,
                 target=bool(entry.get("target", False)),
                 low=low,

@@ -5,8 +5,8 @@ call the same functions:
 
 1. :func:`clean_stage` -- ingest, drop rows, impute, remove outliers;
 2. :func:`feature_stage` -- mutual-information scoring and selection;
-3. :func:`evaluate_arm` -- CV and hold-out per algorithm, once per arm
-   (as-is and oversampled);
+3. :func:`evaluate_arm` -- CV and hold-out of every algorithm on the same
+   folds and split, once per arm (as-is and oversampled);
 4. :func:`emit_tables` -- the report files.
 
 Re-running with an identical config produces byte-identical report files;
@@ -17,7 +17,6 @@ guarantee holds.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import numbers
@@ -30,7 +29,9 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, check_integer
-from .eval import EvalSummary, SmoteMode, cross_validate, holdout_evaluate
+from .eval import EvalSummary, SmoteMode, score_folds
+# perfbench/spans.py wraps these by their names in this module (see cli.py).
+from .eval import cross_validate, holdout_evaluate  # noqa: F401
 from .features import FeatureScores, SelectionResult, score_features, select_k_best
 from .ingest import (
     FRAMINGHAM,
@@ -334,21 +335,15 @@ def feature_stage(
 def evaluate_arm(
     config: PipelineConfig, dataset: Dataset, mode: SmoteMode
 ) -> dict[str, EvalSummary]:
-    """Cross-validate and hold-out test every configured algorithm, keyed
-    as in ``report.json`` (``CART#2`` for a repeat); each summary carries
-    its hold-out AUC."""
-    results: dict[str, EvalSummary] = {}
+    """Cross-validate and hold-out test every configured algorithm on the
+    same folds and split, keyed as in ``report.json`` (``CART#2`` for a
+    repeat); each summary carries its hold-out AUC."""
+    summaries = score_folds(config.algorithms, dataset, config.cv_k, config.seed, mode,
+                            config.smote, config.test_fraction)
     seen: dict[str, int] = {}
-    for spec in config.algorithms:
-        key = _algo_key(spec, seen)
-        summary = cross_validate(
-            spec, dataset, config.cv_k, config.seed, mode, config.smote
-        )
-        auc = holdout_evaluate(
-            spec, dataset, config.seed, mode, config.smote, config.test_fraction
-        )
-        results[key] = dataclasses.replace(summary, holdout_auc=auc)
-        log.info("%s/%s: cv mean %.6f, holdout %.6f", mode.value, key, summary.mean, auc)
+    results = {_algo_key(s.spec, seen): s for s in summaries}
+    for key, s in results.items():
+        log.info("%s/%s: cv mean %.6f, holdout %.6f", mode.value, key, s.mean, s.holdout_auc)
     return results
 
 

@@ -250,7 +250,9 @@ def sq_distance_chunks(
     for start in range(0, A.shape[0], chunk):
         rows = slice(start, start + chunk)
         diff = A[rows, None, :] - B[None, :, :]
-        yield rows, np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # else it lives on while the next chunk's block is allocated
+        yield rows, d2
 
 
 def to_dataset(table: CohortTable) -> Dataset:

@@ -295,6 +295,11 @@ class TestExitCodes:
                 ' {"name": "y", "kind": "binary", "target": true}]',
                 None, 2, "configuration error: {schema}: schema column names must be unique",
             ),
+            (
+                '[{"name": "x", "kind": "continuous", "target": "no"},'
+                ' {"name": "y", "kind": "binary", "target": true}]',
+                None, 2, 'configuration error: {schema}: schema entry 0: "name" must be ',
+            ),
             (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
             (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
             (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
@@ -302,7 +307,7 @@ class TestExitCodes:
         ids=[
             "schema-entry-without-name", "schema-not-json", "schema-not-an-array",
             "schema-unknown-kind", "schema-text-bound", "schema-no-target",
-            "schema-names-differ-in-case", "inf", "-inf", "nan",
+            "schema-names-differ-in-case", "schema-text-target", "inf", "-inf", "nan",
         ],
     )
     def test_malformed_input_is_one_line(

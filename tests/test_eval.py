@@ -1,5 +1,7 @@
 """ROC analysis, stratified splitting, cross-validation, grid search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from chdml.eval import (
     holdout_evaluate,
     iter_cv_splits,
     roc_auc,
+    score_folds,
     stratified_kfold,
     stratified_split,
 )
@@ -275,6 +278,25 @@ class TestHoldout:
         assert holdout_evaluate(spec, data, seed=3, mode=SmoteMode.NONE) == expected
 
 
+class TestScoreFolds:
+    @pytest.mark.parametrize("mode", list(SmoteMode), ids=lambda m: m.value)
+    def test_matches_per_spec_scoring(self, mode):
+        data = two_blobs(n0=40, n1=15, seed=5)
+        params = SmoteParams(k_neighbors=3, seed=1)
+        specs = [
+            ClassifierSpec("LR", {"max_iter": 50}, seed=3),
+            ClassifierSpec("KNN", {"k": 3}, seed=2),
+            ClassifierSpec("CART", seed=4),
+            ClassifierSpec("LR", {"max_iter": 50}, seed=3),
+        ]
+        summaries = score_folds(specs, data, 5, 6, mode, params, test_fraction=0.25)
+        assert [s.spec for s in summaries] == specs
+        for spec, summary in zip(specs, summaries):
+            alone = cross_validate(spec, data, 5, 6, mode, params)
+            auc = holdout_evaluate(spec, data, 6, mode, params, test_fraction=0.25)
+            assert summary.to_doc() == dataclasses.replace(alone, holdout_auc=auc).to_doc()
+
+
 class TestSmoteMode:
     def test_from_string(self):
         assert SmoteMode.from_string("none") is SmoteMode.NONE
@@ -308,6 +330,29 @@ class TestGridSearch:
             grid_search(
                 ClassifierSpec("KNN"), {}, data, k=5, seed=0, mode=SmoteMode.NONE
             )
+
+    def test_cells_score_as_alone(self):
+        data = two_blobs(n0=40, n1=15)
+        params = SmoteParams(k_neighbors=3, seed=1)
+        _, _, table = grid_search(
+            ClassifierSpec("KNN"), {"k": [1, 5]}, data, k=5, seed=0,
+            mode=SmoteMode.LEAKAGE_FREE, smote_params=params,
+        )
+        for row in table:
+            spec = ClassifierSpec("KNN", row["hyperparameters"])
+            alone = cross_validate(spec, data, 5, 0, SmoteMode.LEAKAGE_FREE, params)
+            assert (row["mean"], row["std"]) == (alone.mean, alone.std)
+
+    @pytest.mark.parametrize("values", [[1], [1, 3, 5, 7]])
+    def test_leakage_free_resamples_each_fold_once(self, monkeypatch, values):
+        calls = []
+        real = chdml.eval.smote
+        monkeypatch.setattr(chdml.eval, "smote", lambda *a: calls.append(a) or real(*a))
+        grid_search(
+            ClassifierSpec("KNN"), {"k": values}, two_blobs(n0=40, n1=15), k=5, seed=0,
+            mode=SmoteMode.LEAKAGE_FREE, smote_params=SmoteParams(k_neighbors=3),
+        )
+        assert len(calls) == 5
 
     def test_tie_keeps_earlier_combination(self):
         data = two_blobs()

@@ -116,6 +116,35 @@ class TestSchema:
         with pytest.raises(ConfigError, match=f"{path}: schema column names must be unique"):
             schema_from_json(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"name": "x", "kind": "continuous", "target": "no"}',
+            '{"name": "x", "kind": "continuous", "target": "false"}',
+            '{"name": "x", "kind": "continuous", "target": null}',
+            '{"name": "x", "kind": "continuous", "target": 2}',
+            '{"name": 5, "kind": "continuous"}',
+        ],
+        ids=["text-no", "text-false", "null", "two", "numeric-name"],
+    )
+    def test_target_flag_is_a_boolean_and_name_a_string(self, tmp_path, entry):
+        path = write(
+            tmp_path,
+            f'[{{"name": "y", "kind": "binary", "target": true}}, {entry}]',
+            "schema.json",
+        )
+        with pytest.raises(ConfigError, match=f"^{path}: schema entry 1: "):
+            schema_from_json(path)
+
+    def test_numeric_target_flags_are_booleans(self, tmp_path):
+        path = write(
+            tmp_path,
+            '[{"name": "x", "kind": "continuous", "target": 0},'
+            ' {"name": "y", "kind": "binary", "target": 1}]',
+            "schema.json",
+        )
+        assert schema_from_json(path).target_name == "y"
+
     def test_kind_aliases(self):
         assert FeatureKind.from_string("BinaryNominal") is FeatureKind.BINARY
         assert FeatureKind.from_string("real") is FeatureKind.CONTINUOUS

@@ -1,16 +1,21 @@
 """End-to-end pipeline runs on the 60-row fixture."""
 
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chdml
-from chdml.errors import ConfigError
+from chdml.errors import ConfigError, DataError
 from chdml.eval import SmoteMode
 from chdml.pipeline import (
-    ARM_ORIGINAL, ARM_SMOTE, DEFAULT_CONFIG, PipelineConfig, _five_number, run_pipeline,
+    ARM_ORIGINAL, ARM_SMOTE, DEFAULT_CONFIG, PipelineConfig, _five_number, evaluate_arm,
+    run_pipeline,
 )
+from chdml.preprocess import Dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -255,3 +260,47 @@ class TestModes:
         config = fast_config(tmp_path, select_k=5)
         report = run_pipeline(config)
         assert len(report.selection.selected) == 5
+
+
+class TestOnePassPerArm:
+    """Each arm builds its folds and its hold-out split once, for every algorithm."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, counts):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("mode, smote_calls", [("paper-faithful", 3), ("leakage-free", 5 + 2)])
+    def test_split_and_smote_counts(self, tmp_path, monkeypatch, mode, smote_calls):
+        config = dataclasses.replace(
+            PipelineConfig.from_file(str(DATA / "fixture_config.json")),
+            input_path=str(DATA / "fixture.csv"),
+            output_dir=str(tmp_path / "out"),
+            smote_mode=SmoteMode.from_string(mode),
+        )
+        assert config.cv_k == 5 and len(config.algorithms) == 6
+        counts = Counter()
+        for module, name in (
+            (chdml.eval, "smote"), (chdml.pipeline, "smote"),
+            (chdml.eval, "stratified_kfold"), (chdml.eval, "stratified_split"),
+        ):
+            self.count_calls(monkeypatch, module, name, counts)
+        run_pipeline(config)
+        # paper-faithful: the CV folds, the hold-out split and the class count
+        # each resample the whole dataset; leakage-free: each fold's and the
+        # hold-out's training side, plus the class count
+        assert counts == {"stratified_kfold": 2, "stratified_split": 2, "smote": smote_calls}
+
+    @pytest.mark.parametrize("mode", [SmoteMode.NONE, SmoteMode.LEAKAGE_FREE])
+    def test_fold_error_comes_before_the_holdout_error(self, mode):
+        # 2 positives: too few for 10 folds and for a 20 % hold-out; the
+        # folds are built first, so their message is the one reported
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(40, 3)), np.array([1, 1] + [0] * 38))
+        with pytest.raises(DataError, match="^each class needs at least 10 rows for 10 folds$"):
+            evaluate_arm(PipelineConfig(), data, mode)

@@ -4,6 +4,8 @@ Expected numbers were worked out by hand (or with a throwaway script
 evaluating the textbook formulas directly) before being frozen here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,16 @@ class TestDataset:
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.array([[np.inf]]), np.array([1]))
+
+    def test_one_difference_block_alive_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_DISTANCE_CHUNK", 1_000_000)  # 8 MB blocks
+        rng = np.random.default_rng(5)
+        A, B = rng.normal(size=(40, 10)), rng.normal(size=(10_000, 10))  # 4 chunks
+        tracemalloc.start()
+        try:
+            for _ in sq_distance_chunks(A, B):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8_000_000
