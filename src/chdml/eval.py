@@ -242,13 +242,17 @@ def score_folds(
     """Cross-validate every spec on the same folds, built one at a time;
     fold ``f`` fits each spec with ``child_seed(spec.seed, f)``.  With a
     ``test_fraction`` each spec is then fitted with its own seed on
-    :func:`holdout_split`, built after the last fold, for ``holdout_auc``."""
+    :func:`holdout_split`, built after the last fold, for ``holdout_auc``.
+    Paper-faithful oversampling runs once, for the folds and the hold-out."""
+    split_mode = mode
+    if mode is SmoteMode.PAPER_FAITHFUL:
+        dataset, split_mode = smote(dataset, smote_params or SmoteParams()), SmoteMode.NONE
     fits = []  # fits[f][i]: (AUC, accuracy, converged) of specs[i] on fold f
-    for f, (train, test) in enumerate(iter_cv_splits(dataset, k, seed, mode, smote_params)):
+    for f, (train, test) in enumerate(iter_cv_splits(dataset, k, seed, split_mode, smote_params)):
         fits.append([_fit_and_score(s.replace(seed=child_seed(s.seed, f)), train, test)
                      for s in specs])
     holdout = None if test_fraction is None else holdout_split(
-        dataset, seed, mode, smote_params, test_fraction)
+        dataset, seed, split_mode, smote_params, test_fraction)
     summaries = []
     for spec, per_fold in zip(specs, zip(*fits)):
         aucs, accs, flags = zip(*per_fold)

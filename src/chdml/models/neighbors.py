@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..preprocess import Dataset, sq_distance_chunks
+from ..preprocess import Dataset, nearest_columns, sq_distance_chunks
 from .base import ClassifierSpec
 
 __all__ = ["KnnModel", "fit"]
@@ -27,14 +27,14 @@ class KnnModel:
         """Positive fraction among the k nearest training rows.
 
         Distances are squared Euclidean (:func:`sq_distance_chunks`); exact
-        ties resolve to the lower training-row index (stable sort).  Queries
-        go chunk by chunk to bound memory.
+        ties resolve to the lower training-row index, as a stable sort
+        would (:func:`nearest_columns`).  Queries go chunk by chunk to
+        bound memory.
         """
         k = min(self.k, self.train_features.shape[0])
         out = np.empty(X.shape[0], dtype=np.float64)
         for rows, d2 in sq_distance_chunks(X, self.train_features):
-            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[rows] = self.train_labels[order].mean(axis=1)
+            out[rows] = self.train_labels[nearest_columns(d2, k)].mean(axis=1)
         return out
 
 

@@ -16,6 +16,14 @@ When ``gamma`` is left at 0 it resolves to 1 / (d * mean per-feature
 variance) of the training matrix.  The solver stops when a full sweep
 finds no KKT violator beyond ``tol``, or gives up (``converged=False``)
 after 10n sweeps.
+
+The solver's scalar steps run on Python floats read with ``.item()``: the
+same IEEE double operations, in the same order, as on numpy scalars would
+be.  A boolean mask of the non-bound multipliers (0 < alpha < C) is kept up
+to date for the two indices each step changes, and their index array is
+rebuilt from it only when one of them enters or leaves the bounds.  The
+error-cache update writes into two preallocated buffers, term by term in
+the order of the plain expression.
 """
 
 from __future__ import annotations
@@ -65,39 +73,41 @@ class SvmModel:
 class _Smo:
     def __init__(self, X: np.ndarray, y: np.ndarray, C: float, gamma: float, tol: float):
         self.y = y.astype(np.float64)
-        self.C = C
-        self.tol = tol
+        self.C = float(C)
+        self.tol = float(tol)
         self.n = X.shape[0]
         self.alpha = np.zeros(self.n, dtype=np.float64)
+        self.free = np.zeros(self.n, dtype=bool)  # 0 < alpha < C
+        self.non_bound = np.flatnonzero(self.free)  # rebuilt whenever free changes
         self.b = 0.0
         # E_i = f(x_i) - y_i; with all alphas at zero, f = b = 0
         self.errors = -self.y.copy()
+        self._update = np.empty(self.n, dtype=np.float64)
+        self._term = np.empty(self.n, dtype=np.float64)
         # LRU cache of kernel rows K(i, all training points)
         self.kernel_row = functools.lru_cache(max(2, _CACHE_BYTES // (8 * self.n)))(
             lambda i: rbf_kernel(X[i : i + 1], X, gamma)[0]
         )
 
-    def _non_bound(self) -> np.ndarray:
-        return np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
-
     def take_step(self, i1: int, i2: int) -> bool:
         if i1 == i2:
             return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        E1, E2 = self.errors[i1], self.errors[i2]
+        C, alpha, y, errors = self.C, self.alpha, self.y, self.errors
+        a1, a2 = alpha.item(i1), alpha.item(i2)
+        y1, y2 = y.item(i1), y.item(i2)
+        E1, E2 = errors.item(i1), errors.item(i2)
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2 - a1)
-            H = min(self.C, self.C + a2 - a1)
+            H = min(C, C + a2 - a1)
         else:
-            L = max(0.0, a1 + a2 - self.C)
-            H = min(self.C, a1 + a2)
+            L = max(0.0, a1 + a2 - C)
+            H = min(C, a1 + a2)
         if L >= H:
             return False
         row1 = self.kernel_row(i1)
         row2 = self.kernel_row(i2)
-        k11, k12, k22 = row1[i1], row1[i2], row2[i2]
+        k11, k12, k22 = row1.item(i1), row1.item(i2), row2.item(i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0.0:
             a2_new = a2 + y2 * (E1 - E2) / eta
@@ -122,38 +132,50 @@ class _Smo:
         # snap to the box corners so support vectors are exactly 0 or C
         if a1_new < _EPS:
             a1_new = 0.0
-        elif a1_new > self.C - _EPS:
-            a1_new = self.C
+        elif a1_new > C - _EPS:
+            a1_new = C
         d1 = y1 * (a1_new - a1)
         d2 = y2 * (a2_new - a2)
         b1 = self.b - E1 - d1 * k11 - d2 * k12
         b2 = self.b - E2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.C:
+        free1 = 0.0 < a1_new < C
+        free2 = 0.0 < a2_new < C
+        if free1:
             b_new = b1
-        elif 0.0 < a2_new < self.C:
+        elif free2:
             b_new = b2
         else:
             b_new = (b1 + b2) / 2.0
-        self.errors += d1 * row1 + d2 * row2 + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
+        # errors += (d1 * row1 + d2 * row2) + (b_new - b), term by term
+        update, term = self._update, self._term
+        np.multiply(row1, d1, out=update)
+        np.multiply(row2, d2, out=term)
+        update += term
+        update += b_new - self.b
+        errors += update
+        alpha[i1] = a1_new
+        alpha[i2] = a2_new
+        if self.free.item(i1) != free1 or self.free.item(i2) != free2:
+            self.free[i1] = free1
+            self.free[i2] = free2
+            self.non_bound = np.flatnonzero(self.free)
         self.b = b_new
         return True
 
     def examine(self, i2: int) -> bool:
-        y2, a2, E2 = self.y[i2], self.alpha[i2], self.errors[i2]
+        y2, a2, E2 = self.y.item(i2), self.alpha.item(i2), self.errors.item(i2)
         r2 = E2 * y2
         violates = (r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)
         if not violates:
             return False
-        non_bound = self._non_bound()
+        non_bound = self.non_bound
         if non_bound.size > 1:
             # second-choice heuristic: widest error gap, ties to low index
             i1 = int(non_bound[np.argmax(np.abs(self.errors[non_bound] - E2))])
             if self.take_step(i1, i2):
                 return True
-        for i1 in non_bound:  # ascending index, deterministic
-            if self.take_step(int(i1), i2):
+        for i1 in non_bound.tolist():  # ascending index, deterministic
+            if self.take_step(i1, i2):
                 return True
         for i1 in range(self.n):
             if self.take_step(i1, i2):
@@ -169,9 +191,9 @@ class _Smo:
                 return False
             sweeps += 1
             changed = 0
-            targets = range(self.n) if examine_all else self._non_bound()
+            targets = range(self.n) if examine_all else self.non_bound.tolist()
             for i2 in targets:
-                changed += self.examine(int(i2))
+                changed += self.examine(i2)
             if examine_all:
                 examine_all = False
             elif changed == 0:

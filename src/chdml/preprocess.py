@@ -32,7 +32,9 @@ __all__ = [
 OUTLIER_METHODS = ("IQR", "Sigma")
 
 #: Most values the difference block of one distance chunk holds; bounds memory.
-_DISTANCE_CHUNK = 4_000_000
+#: At 8 MB a block stays small next to the rest of a run's heap, so where the
+#: allocator places it (a reused hole or a fresh mapping) barely moves the peak.
+_DISTANCE_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,28 @@ def sq_distance_chunks(
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         del diff  # else it lives on while the next chunk's block is allocated
         yield rows, d2
+
+
+def nearest_columns(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` smallest entries, ordered by
+    (value, column): the first ``k`` columns of a stable ``argsort`` of
+    ``d2`` along its rows, for 1 <= k <= ``d2.shape[1]`` and no NaN.
+
+    A partial selection finds each row's k-th smallest value; every entry
+    below it is taken, and of the entries equal to it only the lowest
+    columns, so exact ties still resolve to the lower index.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    take = d2 <= kth
+    crowded = np.flatnonzero(take.sum(axis=1) > k)  # more ties at the k-th value than fit
+    if crowded.size:
+        d, t = d2[crowded], kth[crowded]
+        below, tied = d < t, d == t
+        room = k - below.sum(axis=1, keepdims=True)
+        take[crowded] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(take)[1].reshape(-1, k)  # ascending within each row
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def to_dataset(table: CohortTable) -> Dataset:

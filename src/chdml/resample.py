@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, check_integer
-from .preprocess import Dataset, sq_distance_chunks
+from .preprocess import Dataset, nearest_columns, sq_distance_chunks
 
 __all__ = ["SmoteParams", "minority_neighbors", "smote"]
 
@@ -74,8 +74,7 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     for rows, d2 in sq_distance_chunks(X, X):
         self_index = np.arange(n)[rows]
         d2[np.arange(self_index.size), self_index] = np.inf
-        # stable argsort keeps ascending row index on exact distance ties
-        neighbors[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+        neighbors[rows] = nearest_columns(d2, k_eff)  # ties to the lower row index
     return neighbors
 
 

@@ -275,7 +275,7 @@ class TestOnePassPerArm:
 
         monkeypatch.setattr(module, name, counted)
 
-    @pytest.mark.parametrize("mode, smote_calls", [("paper-faithful", 3), ("leakage-free", 5 + 2)])
+    @pytest.mark.parametrize("mode, smote_calls", [("paper-faithful", 2), ("leakage-free", 5 + 2)])
     def test_split_and_smote_counts(self, tmp_path, monkeypatch, mode, smote_calls):
         config = dataclasses.replace(
             PipelineConfig.from_file(str(DATA / "fixture_config.json")),
@@ -291,9 +291,10 @@ class TestOnePassPerArm:
         ):
             self.count_calls(monkeypatch, module, name, counts)
         run_pipeline(config)
-        # paper-faithful: the CV folds, the hold-out split and the class count
-        # each resample the whole dataset; leakage-free: each fold's and the
-        # hold-out's training side, plus the class count
+        # paper-faithful: one resample of the whole dataset serves the CV folds
+        # and the hold-out split, and the class count makes one more;
+        # leakage-free: each fold's and the hold-out's training side, plus the
+        # class count
         assert counts == {"stratified_kfold": 2, "stratified_split": 2, "smote": smote_calls}
 
     @pytest.mark.parametrize("mode", [SmoteMode.NONE, SmoteMode.LEAKAGE_FREE])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chdml.eval import roc_auc, stratified_kfold
 from chdml.models import ClassifierSpec, fit, model_from_json, model_to_json, score_many
-from chdml.preprocess import Dataset
+from chdml.preprocess import Dataset, nearest_columns, sq_distance_chunks
 from chdml.resample import SmoteParams, minority_neighbors, smote
 
 
@@ -78,3 +78,28 @@ def test_tree_scores_are_probabilities(data, seed):
         # every fitted tree passes the structure check a model file gets on load
         text = model_to_json(model)
         assert model_to_json(model_from_json(text)) == text
+
+
+def stable_first(d2, k):
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+@given(st.integers(1, 12).flatmap(lambda cols: st.tuples(
+    st.integers(1, cols),
+    st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols), min_size=1,
+             max_size=8))))
+def test_nearest_columns_is_a_stable_argsort_prefix(k_rows):
+    k, rows = k_rows
+    d2 = np.array(rows, dtype=np.float64)
+    assert np.array_equal(nearest_columns(d2, k), stable_first(d2, k))
+
+
+@given(datasets(min_per_class=2), st.integers(1, 40))
+def test_neighbour_searches_match_a_stable_argsort(data, k):
+    X = data.features
+    d2 = np.vstack([chunk for _, chunk in sq_distance_chunks(X, X)])
+    model = fit(ClassifierSpec("KNN", hyperparameters={"k": k}), data)
+    want = data.labels[stable_first(d2, min(k, data.n_rows))].mean(axis=1)
+    assert np.array_equal(score_many(model, X), want)
+    np.fill_diagonal(d2, np.inf)
+    assert np.array_equal(minority_neighbors(X, k), stable_first(d2, min(k, data.n_rows - 1)))
