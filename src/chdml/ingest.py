@@ -7,10 +7,22 @@ name (order-insensitive, case-insensitive) and reordered into schema
 order internally so that feature indices are stable no matter how the
 file was exported.
 
-Missing values are the empty string or the token ``NA`` (case-insensitive);
-they are stored as ``NaN`` inside float64 column vectors.  Binary columns
-must contain only 0/1, ordinal columns only integers inside their declared
-range, and the single target column must be complete.
+Missing values are the empty string or the token ``NA`` (case-insensitive,
+surrounding whitespace ignored); they are stored as ``NaN`` inside float64
+column vectors.  Each cell is checked against these rules, in this order,
+and the first it breaks is the reason its error gives:
+
+1. a missing cell in the target column: ``target may not be missing``;
+2. text that ``float()`` rejects: no reason;
+3. ``nan``, ``inf`` or a number too large for a float: ``not a finite number``;
+4. a binary cell other than 0 or 1: ``expected 0 or 1``;
+5. an ordinal cell with a fractional part: ``expected an integer``;
+6. an ordinal cell below ``low`` or above ``high``: ``outside [low, high]``.
+
+The error names the first bad cell of the file: its 1-based data row
+(blank lines count) and, within that row, the first bad column in schema
+order, which need not be the file's column order.  A field longer than
+``csv``'s limit of 131,072 characters is refused with its row.
 """
 
 from __future__ import annotations
@@ -229,36 +241,6 @@ class MissingReport:
         }
 
 
-def _cannot_parse(row: int, col: Column, text: str, reason: str = "") -> str:
-    detail = f" ({reason})" if reason else ""
-    return f"row {row}, column {col.name!r}: cannot parse {text!r}{detail}"
-
-
-def _parse_cell(text: str, col: Column, row: int) -> float:
-    token = text.strip()
-    if token.lower() in MISSING_TOKENS:
-        if col.target:
-            raise DataError(_cannot_parse(row, col, text, "target may not be missing"))
-        return float("nan")
-    try:
-        value = float(token)
-    except ValueError:
-        raise DataError(_cannot_parse(row, col, text)) from None
-    if not math.isfinite(value):
-        raise DataError(_cannot_parse(row, col, text, "not a finite number"))
-    if col.kind is FeatureKind.BINARY and value not in (0.0, 1.0):
-        raise DataError(_cannot_parse(row, col, text, "expected 0 or 1"))
-    if col.kind is FeatureKind.ORDINAL:
-        if value != int(value):
-            raise DataError(_cannot_parse(row, col, text, "expected an integer"))
-        if (col.low is not None and value < col.low) or (
-            col.high is not None and value > col.high
-        ):
-            reason = f"outside [{col.low}, {col.high}]"
-            raise DataError(_cannot_parse(row, col, text, reason))
-    return value
-
-
 def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
     """Map schema order to header positions, honoring aliases."""
     canonical = {name.lower(): name for name in schema.names}
@@ -281,9 +263,17 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
     return order
 
 
-def _column_values(texts: list[str], col: Column) -> np.ndarray | None:
-    """One column of a block as float64, or ``None`` when some cell may break
-    a rule of :func:`_parse_cell`; the caller then re-parses the block with it."""
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text.strip())
+    except ValueError:
+        return None
+
+
+def _column_values(texts: list[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """One column of a block as float64, and the index and reason of its first
+    cell that breaks a rule of the module docstring (``None`` if none does)."""
+    cells = None  # parsed one by one only when float() rejects some text
     try:
         values = np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:  # a missing token, or text float() rejects
@@ -292,48 +282,53 @@ def _column_values(texts: list[str], col: Column) -> np.ndarray | None:
                 [math.nan if t.strip().lower() in MISSING_TOKENS else float(t) for t in texts]
             )
         except ValueError:
-            return None
-    odd = ~np.isfinite(values)
-    if odd.any() and (
-        col.target
-        or not all(texts[i].strip().lower() in MISSING_TOKENS for i in np.flatnonzero(odd))
-    ):
-        return None  # a missing target, or a literal nan or inf
-    if col.kind is FeatureKind.BINARY and not ((values == 0.0) | (values == 1.0) | odd).all():
-        return None
+            cells = [_float_or_none(t) for t in texts]
+            values = np.array(cells, dtype=np.float64)
+    finite = np.isfinite(values)
+    firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
+    for i in np.flatnonzero(~finite).tolist():  # rules 1-3
+        if texts[i].strip().lower() not in MISSING_TOKENS:
+            firsts.append((i, "" if cells and cells[i] is None else "not a finite number"))
+            break
+        if col.target:
+            firsts.append((i, "target may not be missing"))
+            break
+    rules = []  # rules 4-6: (the finite cells each rejects, its reason)
+    if col.kind is FeatureKind.BINARY:
+        rules.append((finite & (values != 0.0) & (values != 1.0), "expected 0 or 1"))
     if col.kind is FeatureKind.ORDINAL:
-        present = values[~odd]
-        if (present != np.trunc(present)).any():
-            return None
-        # Python float comparisons, exactly as _parse_cell makes them
-        if present.size and (
-            (col.low is not None and float(present.min()) < col.low)
-            or (col.high is not None and float(present.max()) > col.high)
-        ):
-            return None
-    return values
+        rules.append((finite & (values != np.trunc(values)), "expected an integer"))
+        # Python comparisons: numpy would round an int bound above 2**53
+        low = -math.inf if col.low is None else col.low
+        high = math.inf if col.high is None else col.high
+        present = values[finite]
+        if present.size and (float(present.min()) < low or float(present.max()) > high):
+            mask = finite & np.array([v < low or v > high for v in values.tolist()])
+            rules.append((mask, f"outside [{col.low}, {col.high}]"))
+    firsts += [(int(mask.argmax()), reason) for mask, reason in rules if mask.any()]
+    return values, min(firsts, key=lambda first: first[0], default=None)
 
 
 def _parse_block(
     rows: list[list[str]], numbers: list[int], schema: Schema, positions: list[int]
 ) -> list[np.ndarray]:
-    """Parse a block of rows into one float64 vector per schema column.
-
-    Each column is parsed with ``float()`` and checked with numpy.  When a
-    column fails, :func:`_parse_cell` parses the block row by row, in schema
-    order, so the first bad cell raises its usual error.
-    """
-    columns = [
-        _column_values([row[pos] for row in rows], col)
-        for col, pos in zip(schema.columns, positions)
-    ]
-    if all(c is not None for c in columns):
-        return columns
-    cells = [
-        [_parse_cell(row[pos], col, number) for col, pos in zip(schema.columns, positions)]
-        for row, number in zip(rows, numbers)
-    ]
-    return [np.array(c, dtype=np.float64) for c in zip(*cells)]
+    """Parse a block of rows into one float64 vector per schema column, or
+    raise for its first bad cell: the first row that has one, and in it the
+    first bad column in schema order."""
+    columns, problems = [], []
+    for k, (col, pos) in enumerate(zip(schema.columns, positions)):
+        values, problem = _column_values([row[pos] for row in rows], col)
+        columns.append(values)
+        if problem is not None:
+            problems.append((problem[0], k, problem[1]))
+    if problems:
+        i, k, reason = min(problems)
+        detail = f" ({reason})" if reason else ""
+        raise DataError(
+            f"row {numbers[i]}, column {schema.columns[k].name!r}: "
+            f"cannot parse {rows[i][positions[k]]!r}{detail}"
+        )
+    return columns
 
 
 def _row_blocks(
@@ -341,13 +336,14 @@ def _row_blocks(
 ) -> Iterator[tuple[list[list[str]], list[int]]]:
     """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows.
 
-    A row with the wrong field count, or text that is not UTF-8, ends the
-    current block early: the block is yielded, so that its cells are checked
-    and an earlier bad cell is reported first, and then the error is raised.
-    Blocks may be empty.
+    A row with the wrong field count or an over-long field, or text that is
+    not UTF-8, ends the current block early: the block is yielded, so that
+    its cells are checked and an earlier bad cell is reported first, and
+    then the error is raised.  Blocks may be empty.
     """
     rows: list[list[str]] = []
     numbers: list[int] = []
+    number = 0
     try:
         for number, row in enumerate(reader, start=1):
             if not any(map(str.strip, row)):
@@ -363,6 +359,9 @@ def _row_blocks(
     except UnicodeDecodeError:
         yield rows, numbers
         raise
+    except csv.Error as exc:  # raised while reading the row after `number`
+        yield rows, numbers
+        raise DataError(f"{path}: row {number + 1}: {exc}") from None
     yield rows, numbers
 
 
@@ -371,9 +370,10 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
 
     Rows are parsed and checked a block at a time.  Raises
     :class:`DataError` for a header that is missing, repeats or adds a
-    column, for a cell that does not parse (naming its 1-based data row and
-    its column; the first such cell in the file), and, naming ``path``, for
-    a row with the wrong field count or a file that is not UTF-8 text.
+    column, for a cell that breaks a rule of the module docstring (naming
+    its 1-based data row and its column; the first such cell in the file),
+    and, naming ``path``, for a row with the wrong field count or an
+    over-long field, or a file that is not UTF-8 text.
     """
     parts: list[list[np.ndarray]] = []
     try:
@@ -383,6 +383,8 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty (no header row)") from None
+            except csv.Error as exc:
+                raise DataError(f"{path}: header row: {exc}") from None
             positions = _match_header(header, schema)
             for rows, numbers in _row_blocks(reader, len(header), path):
                 if rows:
@@ -421,11 +423,11 @@ def write_csv(table: CohortTable, path: str) -> None:
 
 def read_json(path: str) -> Any:
     """Parse a config or schema file; :class:`ConfigError` naming ``path``
-    when it is not UTF-8 JSON."""
+    when it is not UTF-8 JSON or nests too deeply to parse."""
     with open(path, encoding="utf-8-sig") as handle:
         try:
             return json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 

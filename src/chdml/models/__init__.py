@@ -196,7 +196,7 @@ def model_to_json(model: TrainedModel) -> str:
 def model_from_json(text: str) -> TrainedModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError("malformed model file: not a JSON object")
@@ -209,7 +209,8 @@ def model_from_json(text: str) -> TrainedModel:
     except ConfigError as exc:
         raise DataError(f"malformed model file: {exc}") from None
     # TypeError: a missing or unknown parameter name; ValueError: a value that
-    # is not a number; KeyError: an SVM file without its vectors
+    # is not a number; KeyError: an SVM file without its vectors;
+    # RecursionError: objects nested too deeply to decode
     try:
         params = {name: _decode(v) for name, v in doc["parameters"].items()}
         if spec.algorithm == "SVM" and "n_features" not in params:
@@ -218,7 +219,7 @@ def model_from_json(text: str) -> TrainedModel:
         _, model_class = _ALGORITHM_TABLE[spec.algorithm]
         model = model_class(spec=spec, **params)
         problem = _tree_problem(model)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, RecursionError) as exc:
         raise DataError(f"malformed {spec.algorithm} model: {exc}") from None
     if problem is not None:
         raise DataError(f"malformed {spec.algorithm} model: {problem}")

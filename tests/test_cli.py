@@ -9,6 +9,7 @@ from chdml.cli import main
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture.csv")
+NESTED = b"[" * 200_000 + b"]" * 200_000  # too deep for the json module
 
 
 def with_config(tmp_path, **overrides):
@@ -330,6 +331,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message.format(schema=schema_path))
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, payload, code",
+        [
+            ("csv", b"1,fifty,", 3),
+            ("csv", b"1,50,7,", 3),
+            ("csv", b"1,5\xff,", 3),
+            ("csv", b"1," + b"5" * 200_000 + b",", 3),
+            ("config", NESTED, 2),
+            ("schema", NESTED, 2),
+        ],
+        ids=["bad-cell", "field-count", "not-utf8", "over-long-field", "nested-config",
+             "nested-schema"],
+    )
+    def test_malformed_file_is_one_line(self, tmp_path, capsys, kind, payload, code):
+        """``payload`` replaces the fixture's ``1,50,`` (kind "csv") or is the
+        whole config or schema file."""
+        bad = tmp_path / "bad"
+        if kind == "csv":
+            bad.write_bytes(Path(FIXTURE).read_bytes().replace(b"\n1,50,", b"\n" + payload, 1))
+            config = with_config(tmp_path, input_path=str(bad))
+        else:
+            bad.write_bytes(payload)
+            config = str(bad) if kind == "config" else with_config(tmp_path, schema_path=str(bad))
+        assert main(["clean", "--config", config, "--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == 3 else f"configuration error: {bad}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_env_var_supplies_input(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHD_DATA", FIXTURE)

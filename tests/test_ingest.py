@@ -2,13 +2,21 @@
 
 ``reference_write_csv`` below is the per-row writer that the blocked
 ``write_csv`` replaced, kept as the reference for its bytes.
+``ref_load_csv`` (with ``ref_cannot_parse`` and ``ref_parse_cell``) is the
+row-by-row reader that the blocked ``load_csv`` replaced, copied verbatim
+but for its names, docstring and log line.  It checks each cell on its own,
+and the blocked reader must return the same arrays bit for bit or raise
+the same message.
 """
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chdml
 from chdml import ingest
@@ -16,7 +24,9 @@ from chdml.errors import ConfigError, DataError
 from chdml.ingest import (
     _BLOCK,
     FRAMINGHAM,
+    MISSING_TOKENS,
     CohortTable,
+    Column,
     FeatureKind,
     Schema,
     schema_from_json,
@@ -55,6 +65,65 @@ def reference_write_csv(table, path):
             writer.writerow(
                 "NA" if np.isnan(v[i]) else repr(float(v[i])) for v in vectors
             )
+
+
+def ref_cannot_parse(row: int, col: Column, text: str, reason: str = "") -> str:
+    detail = f" ({reason})" if reason else ""
+    return f"row {row}, column {col.name!r}: cannot parse {text!r}{detail}"
+
+
+def ref_parse_cell(text: str, col: Column, row: int) -> float:
+    token = text.strip()
+    if token.lower() in MISSING_TOKENS:
+        if col.target:
+            raise DataError(ref_cannot_parse(row, col, text, "target may not be missing"))
+        return float("nan")
+    try:
+        value = float(token)
+    except ValueError:
+        raise DataError(ref_cannot_parse(row, col, text)) from None
+    if not math.isfinite(value):
+        raise DataError(ref_cannot_parse(row, col, text, "not a finite number"))
+    if col.kind is FeatureKind.BINARY and value not in (0.0, 1.0):
+        raise DataError(ref_cannot_parse(row, col, text, "expected 0 or 1"))
+    if col.kind is FeatureKind.ORDINAL:
+        if value != int(value):
+            raise DataError(ref_cannot_parse(row, col, text, "expected an integer"))
+        if (col.low is not None and value < col.low) or (
+            col.high is not None and value > col.high
+        ):
+            reason = f"outside [{col.low}, {col.high}]"
+            raise DataError(ref_cannot_parse(row, col, text, reason))
+    return value
+
+
+def ref_load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty (no header row)") from None
+            positions = ingest._match_header(header, schema)
+            cells: list[list[float]] = [[] for _ in schema.columns]
+            for row_number, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue  # ignore blank lines
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_number} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                for col, pos, bucket in zip(schema.columns, positions, cells):
+                    bucket.append(ref_parse_cell(row[pos], col, row_number))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    columns = {
+        col.name: np.asarray(bucket, dtype=np.float64)
+        for col, bucket in zip(schema.columns, cells)
+    }
+    return CohortTable(schema, columns)
 
 
 def random_table(n, seed=0):
@@ -305,19 +374,112 @@ class TestBlockedRead:
         expected = chdml.load_csv(write(tmp_path, mini_csv(rows)))
         assert chdml.load_csv(write(tmp_path, mini_csv(edged), "edged.csv")) == expected
 
-    def test_well_formed_blocks_never_parse_cell_by_cell(self, tmp_path, monkeypatch):
-        calls = []
-        parse_cell = ingest._parse_cell
-        monkeypatch.setattr(
-            ingest, "_parse_cell", lambda *args: calls.append(args) or parse_cell(*args)
-        )
-        rows = [ROW_A, ROW_B, ROW_C, ROW_D] * (_BLOCK // 2 + 1)
-        table = chdml.load_csv(write(tmp_path, mini_csv(rows)))
-        assert table.row_count == len(rows)
-        assert calls == []
-        with pytest.raises(DataError):
-            chdml.load_csv(write(tmp_path, mini_csv(rows + ["x" + ROW_A[1:]])))
-        assert calls  # the patch is in the path a bad block takes
+
+    def test_first_bad_cell_of_a_row_in_schema_order(self, tmp_path):
+        header = MINI_HEADER.replace("sex,age,", "age,sex,", 1)
+        row = ROW_A.replace("1,44,", "x,2,", 1)  # bad age, then bad sex, in file order
+        with pytest.raises(DataError, match=r"^row 1, column 'sex': cannot parse '2' \("):
+            chdml.load_csv(write(tmp_path, header + row))
+
+    def test_over_long_field_names_path_and_row(self, tmp_path):
+        long_cell = "4" * 200_000  # csv refuses fields over 131,072 characters
+        path = write(tmp_path, mini_csv([ROW_A, ROW_B, ROW_A.replace("44", long_cell, 1)]))
+        with pytest.raises(DataError, match=f"^{path}: row 3: field larger than field limit"):
+            chdml.load_csv(path)
+        path = write(tmp_path, MINI_HEADER.replace("age", long_cell, 1) + ROW_A, "head.csv")
+        with pytest.raises(DataError, match=f"^{path}: header row: field larger than"):
+            chdml.load_csv(path)
+
+    def test_bad_cell_reported_before_a_later_over_long_field(self, tmp_path):
+        rows = [ROW_A.replace(",44,", ",x,"), ROW_A.replace("44", "4" * 200_000, 1)]
+        with pytest.raises(DataError, match="^row 1, column 'age': cannot parse 'x'$"):
+            chdml.load_csv(write(tmp_path, mini_csv(rows)))
+
+
+#: Cells that reach every rule: missing spellings, text float() rejects or
+#: reads only once stripped, nan and inf, an overflow, an underscore, a
+#: fraction, and integers either side of 2**53 + 3.
+CELLS = [
+    "NA", " na ", "", "nan", "inf", "-inf", "1e400", "1_0", " 1 ", "2.5", "-0.5", "x", "\x1c1",
+    "9007199254740993", "9007199254740995", "-0", "0", "1", "3", "4.0", "5",
+]
+
+#: A schema whose ordinal bounds float64 cannot hold, are one-sided or NaN
+#: (a JSON schema file may say NaN; no value compares outside it).
+WIDE = Schema((
+    Column("flag", FeatureKind.BINARY),
+    Column("count", FeatureKind.ORDINAL, low=-1, high=2**53 + 3),
+    Column("level", FeatureKind.ORDINAL, low=1),
+    Column("grade", FeatureKind.ORDINAL, low=math.nan, high=3),
+    Column("x", FeatureKind.CONTINUOUS),
+    Column("y", FeatureKind.BINARY, target=True),
+))
+
+#: Two good cells of each kind, for every schema above.
+VALID = {
+    FeatureKind.BINARY: ("0", "1"),
+    FeatureKind.ORDINAL: ("1", "2"),
+    FeatureKind.CONTINUOUS: ("0.25", "-7"),
+}
+
+
+@st.composite
+def cohort_files(draw, counts, block):
+    """CSV text with a shuffled header, edits from CELLS near block edges,
+    and perhaps a blank line and a row with the wrong field count."""
+    schema = draw(st.sampled_from([FRAMINGHAM, WIDE]))
+    header = draw(st.permutations(schema.names))
+    n = draw(counts)
+    kinds = [schema.column(name).kind for name in header]
+    grid = [[VALID[kind][(r + c) % 2] for c, kind in enumerate(kinds)] for r in range(n)]
+    edges = range(0, n + block, block)
+    near = sorted({0, n - 1} | {r for b in edges for r in range(b - 2, b + 2) if 0 <= r < n})
+    columns = st.integers(0, len(header) - 1)
+    edits = st.tuples(st.sampled_from(near), columns, st.sampled_from(CELLS))
+    for r, c, cell in draw(st.lists(edits, max_size=6)):
+        grid[r][c] = cell
+    lines = [",".join(row) + "\n" for row in grid]
+    for extra in ("\n", "1,2,3\n"):
+        if draw(st.integers(0, 3)) == 0:
+            lines.insert(draw(st.sampled_from(near)), extra)
+    return schema, ",".join(header) + "\n" + "".join(lines)
+
+
+def outcome(load, path, schema):
+    """The columns' bits, or the error message."""
+    try:
+        table = load(path, schema)
+    except DataError as exc:
+        return str(exc)
+    return {name: table.column(name).view(np.int64).tolist() for name in schema.names}
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "t.csv"
+
+
+class TestSameAsRowByRowReader:
+    """The blocked reader returns what the row-by-row reader did."""
+
+    @settings(max_examples=500)
+    @given(cohort_files(st.integers(1, 14), block=4))
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740993,1,-5,0,0\n"))  # to 2**53
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740995,1,3,0,0\n"))  # 2**53 + 4
+    def test_small_blocks(self, csv_path, case):
+        schema, text = case
+        csv_path.write_text(text, encoding="utf-8")
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            got = outcome(chdml.load_csv, str(csv_path), schema)
+        assert got == outcome(ref_load_csv, str(csv_path), schema)
+
+    @settings(max_examples=8)
+    @given(cohort_files(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 3]), block=_BLOCK))
+    def test_full_blocks(self, csv_path, case):
+        schema, text = case
+        csv_path.write_text(text, encoding="utf-8")
+        got = outcome(chdml.load_csv, str(csv_path), schema)
+        assert got == outcome(ref_load_csv, str(csv_path), schema)
 
 
 class TestWriteCsv:

@@ -464,6 +464,15 @@ class TestDispatch:
         with pytest.raises(DataError, match="malformed model file: "):
             model_from_json(json.dumps(doc))
 
+    def test_deeply_nested_model_file_is_data_error(self):
+        with pytest.raises(DataError, match="^malformed model file: maximum recursion depth"):
+            model_from_json("[" * 200_000 + "]" * 200_000)
+        doc = json.loads(model_to_json(fit(ClassifierSpec("CART"), blobs(seed=14))))
+        for _ in range(500):  # shallow enough for json, too deep to decode
+            doc["parameters"]["tree"] = {"left": doc["parameters"]["tree"]}
+        with pytest.raises(DataError, match="^malformed CART model: maximum recursion depth"):
+            model_from_json(json.dumps(doc))
+
     def test_model_file_with_byte_order_mark_loads(self, tmp_path):
         data = blobs(seed=14)
         model = fit(ClassifierSpec("NB"), data)
