@@ -436,8 +436,9 @@ def schema_from_json(path: str) -> Schema:
 
     Objects may carry optional ``low``/``high`` bounds for ordinal columns.
     A file that is not a JSON array, or an entry without a string name, a
-    known kind, a boolean ``target`` or numeric bounds, raises :class:`ConfigError`
-    naming the path and the entry's index; a schema without exactly one
+    known kind, a boolean ``target`` or finite numeric bounds with ``low``
+    at most ``high``, raises :class:`ConfigError` naming the path and the
+    entry's index; a schema without exactly one
     binary target, or with a repeated name, raises it naming the path.
     """
     raw = read_json(path)
@@ -458,9 +459,16 @@ def schema_from_json(path: str) -> Schema:
                 f'{path}: schema entry {i}: "name" must be a string and "target" a boolean'
             )
         low, high = entry.get("low"), entry.get("high")
-        if not all(b is None or type(b) in (int, float) for b in (low, high)):
+        if not all(
+            b is None or type(b) is int or type(b) is float and math.isfinite(b)
+            for b in (low, high)
+        ):
             raise ConfigError(
-                f'{path}: schema entry {i}: "low" and "high" must be numbers'
+                f'{path}: schema entry {i}: "low" and "high" must be finite numbers'
+            )
+        if low is not None and high is not None and low > high:
+            raise ConfigError(
+                f'{path}: schema entry {i}: "low" {low} is above "high" {high}'
             )
         cols.append(
             Column(

@@ -14,10 +14,21 @@ and all cuts of all candidate features of a node are scored in one
 vectorized pass.  The Gini sums, their int64 counts and the float
 operations are those of a per-feature scan, so the trees, their node
 order and the draws of the feature generator do not depend on this layout.
+
+Two shortcuts cut the fixed cost of a node and keep every tree the same
+bit for bit.  In a node of at most 512 rows, a child's weighted impurity
+``n * gini`` is read from a process-wide table indexed by (n, p), the rows
+and positives of the child; its entries come from the same int64 and
+float64 operations as the inline formula, which larger nodes still use.
+The table grows row by row to the largest sample seen, at most 131,841
+floats (1.05 MB).  Random feature subsets are drawn by Floyd's algorithm
+64 nodes at a time from one bounded-integer call: the same draws, in the
+same order, as one ``Generator.choice(d, mtry, replace=False)`` per node.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,61 @@ from ..preprocess import Dataset
 from .base import ClassifierSpec
 
 __all__ = ["Tree", "build_tree", "CartModel", "fit"]
+
+#: Largest node whose cuts read their weighted Gini from ``_gini``.
+_TABLE_ROWS = 512
+#: Feature subsets drawn per generator call.
+_CHUNK = 64
+#: ``_TRI[n]`` = n(n+1)/2, where row n of the table starts.
+_TRI = np.cumsum(np.arange(_TABLE_ROWS + 2))
+#: ``_gini[_TRI[n] + p]`` = n * (1 - (p² + (n-p)²) / n²) for 0 <= p <= n;
+#: the entry of n = 0 is never read.
+_gini = np.full(1, np.nan)
+
+
+def _gini_table(rows: int) -> np.ndarray:
+    """The table, grown one row at a time to ``min(rows, 512)`` rows.
+
+    Rows are filled one by one because one vectorized expression over the
+    whole table allocates temporaries several times its 1.05 MB.
+    """
+    global _gini
+    table = _gini
+    top = min(rows, _TABLE_ROWS)
+    if len(table) < _TRI[top + 1]:
+        grown = np.empty(_TRI[top + 1])
+        grown[: len(table)] = table
+        for n in np.arange(np.searchsorted(_TRI, len(table)), top + 1):
+            p = np.arange(n + 1)
+            grown[_TRI[n] : _TRI[n + 1]] = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+        table = _gini = grown
+    return table
+
+
+def _feature_subsets(
+    rng: np.random.Generator, d: int, mtry: int
+) -> Iterator[np.ndarray]:
+    """Endless sorted ``mtry``-subsets of ``range(d)``, uniform, one per node.
+
+    Floyd's algorithm (Bentley & Floyd, 1987) draws from [0, j] for
+    j = d-mtry .. d-1 and takes j itself when the draw is already in the
+    subset; then the subset is shuffled, drawing from [0, i] for
+    i = mtry-1 .. 1.  Those are the draws of numpy's
+    ``choice(d, mtry, replace=False)`` for d <= 10,000, so the subsets and
+    the generator's state after a whole chunk match it.  The draws of
+    ``_CHUNK`` nodes come from one call, so the generator advances in
+    whole chunks; the shuffle's draws are only consumed, since the subset
+    is sorted.
+    """
+    highs = np.concatenate((np.arange(d - mtry + 1, d + 1), np.arange(mtry, 1, -1)))
+    highs = np.tile(highs, _CHUNK)
+    while True:
+        subsets = rng.integers(0, highs).reshape(_CHUNK, -1)[:, :mtry]
+        for c in range(1, mtry):
+            drawn = (subsets[:, :c] == subsets[:, c : c + 1]).any(axis=1)
+            subsets[drawn, c] = d - mtry + c
+        subsets.sort(axis=1)
+        yield from subsets
 
 
 @dataclass(frozen=True)
@@ -55,7 +121,12 @@ class Tree:
 
 
 def _best_split(
-    Xt: np.ndarray, y: np.ndarray, orders: np.ndarray, features: np.ndarray, pos: int
+    Xt: np.ndarray,
+    y: np.ndarray,
+    orders: np.ndarray,
+    features: np.ndarray,
+    pos: int,
+    gini: np.ndarray,
 ) -> tuple[int, float, int, int] | None:
     """Lowest weighted-Gini split over ``features``, or None if all are constant.
 
@@ -64,18 +135,25 @@ def _best_split(
     all candidates are scored in one (k, m - 1) pass; cuts between equal
     values read ``inf``.  With ``features`` ascending, the first minimum of
     the feature-major array realizes the tie rule.  Returns the feature, the
-    threshold, and the left child's row and positive counts.
+    threshold, and the left child's row and positive counts.  ``gini`` is
+    ``_gini_table`` grown to at least ``min(m, 512)`` rows.
     """
     rows = orders[features]
     m = rows.shape[1]
     sv = Xt[features[:, None], rows]
     p_left = y[rows[:, :-1]].cumsum(axis=1)
-    # left then right child of every cut, side by side
-    n_left = np.arange(1, m)
-    n = np.concatenate((n_left, m - n_left))
-    p = np.concatenate((p_left, pos - p_left), axis=1)
-    n_gini = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
-    weighted = (n_gini[:, : m - 1] + n_gini[:, m - 1 :]) / m
+    if m <= _TABLE_ROWS:
+        # left child of cut i has i+1 rows, the right one m-i-1
+        weighted = (
+            gini.take(_TRI[1:m] + p_left) + gini.take((_TRI[m - 1 : 0 : -1] + pos) - p_left)
+        ) / m
+    else:
+        # left then right child of every cut, side by side
+        n_left = np.arange(1, m)
+        n = np.concatenate((n_left, m - n_left))
+        p = np.concatenate((p_left, pos - p_left), axis=1)
+        n_gini = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+        weighted = (n_gini[:, : m - 1] + n_gini[:, m - 1 :]) / m
     weighted = np.where(sv[:, 1:] > sv[:, :-1], weighted, np.inf)
     k, i = divmod(int(weighted.argmin()), m - 1)
     if weighted[k, i] == np.inf:
@@ -108,12 +186,27 @@ def build_tree(
     subset of ``mtry`` features (sampled without replacement, then sorted
     ascending so the tie rule stays well-defined).  Nodes are expanded
     depth-first, left child first, and numbered in that preorder, so
-    generator consumption is a fixed function of the data.
+    generator consumption is a fixed function of the data.  The subsets are
+    those of ``np.sort(rng.choice(d, mtry, replace=False))`` node after
+    node, but drawn by ``_feature_subsets`` 64 nodes at a time: the
+    generator advances in whole chunks, so after the call its state is not
+    the one per-node draws would leave.  Do not read ``rng`` afterwards
+    (``forest.fit`` gives every tree a fresh generator and draws its
+    bootstrap sample first).
+
+    Nodes of at most 512 rows read their cuts' weighted Gini from a table
+    shared by all trees of the process, grown here to ``min(n, 512)`` rows
+    (at most 1.05 MB); larger nodes compute it inline with the same
+    operations.
     """
     n, d = X.shape
     Xt = np.ascontiguousarray(X.T)
     orders = np.argsort(Xt, axis=1, kind="stable")
     goes_left = np.zeros(n, dtype=bool)
+    gini = _gini_table(n)
+    subsets = None
+    if rng is not None and mtry is not None and mtry < d:
+        subsets = _feature_subsets(rng, d, mtry)
     all_features = np.arange(d)
     nodes: list[list] = []  # [feature, threshold, left, right, value]
     # (parent's sorted rows, this child's part of them or None for all,
@@ -129,11 +222,8 @@ def build_tree(
             continue
         if keep is not None:
             orders = orders.compress(keep).reshape(d, -1)
-        if rng is not None and mtry is not None and mtry < d:
-            candidates = np.sort(rng.choice(d, size=mtry, replace=False))
-        else:
-            candidates = all_features
-        split = _best_split(Xt, y, orders, candidates, pos)
+        candidates = all_features if subsets is None else next(subsets)
+        split = _best_split(Xt, y, orders, candidates, pos, gini)
         if split is None:
             continue
         f, thr, n_left, p_left = split

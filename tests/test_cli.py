@@ -301,6 +301,28 @@ class TestExitCodes:
                 ' {"name": "y", "kind": "binary", "target": true}]',
                 None, 2, 'configuration error: {schema}: schema entry 0: "name" must be ',
             ),
+            (
+                '[{"name": "age", "kind": "ordinal", "low": NaN, "high": 3}]',
+                None, 2, 'configuration error: {schema}: schema entry 0: "low" and "high" '
+                "must be finite numbers",
+            ),
+            (
+                '[{"name": "x", "kind": "continuous"},'
+                ' {"name": "age", "kind": "ordinal", "low": 1, "high": Infinity}]',
+                None, 2, 'configuration error: {schema}: schema entry 1: "low" and "high" '
+                "must be finite numbers",
+            ),
+            (
+                '[{"name": "age", "kind": "ordinal", "low": -Infinity}]',
+                None, 2, 'configuration error: {schema}: schema entry 0: "low" and "high" '
+                "must be finite numbers",
+            ),
+            (
+                '[{"name": "x", "kind": "continuous"},'
+                ' {"name": "age", "kind": "ordinal", "low": 5, "high": 2.5}]',
+                None, 2,
+                'configuration error: {schema}: schema entry 1: "low" 5 is above "high" 2.5',
+            ),
             (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
             (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
             (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
@@ -308,7 +330,9 @@ class TestExitCodes:
         ids=[
             "schema-entry-without-name", "schema-not-json", "schema-not-an-array",
             "schema-unknown-kind", "schema-text-bound", "schema-no-target",
-            "schema-names-differ-in-case", "schema-text-target", "inf", "-inf", "nan",
+            "schema-names-differ-in-case", "schema-text-target", "schema-nan-bound",
+            "schema-infinite-high", "schema-minus-infinite-low", "schema-low-above-high",
+            "inf", "-inf", "nan",
         ],
     )
     def test_malformed_input_is_one_line(

@@ -3,7 +3,10 @@
 ``_best_split`` and ``build_tree`` below are the earlier implementation,
 copied verbatim: one argsort of every candidate feature at every node.
 Every node array of every tree must match it byte for byte, generator
-draws included, so forests and their reports are unchanged.
+draws included, so forests and their reports are unchanged.  The cases
+above 512 rows compare nodes on both sides of the weighted-Gini table's
+cap; the chunked feature-subset draw and the table are also checked
+directly against numpy's ``choice`` and the inline Gini formula.
 """
 
 from __future__ import annotations
@@ -197,6 +200,59 @@ def test_forest_with_bootstrap(monkeypatch):
     assert len(got.trees) == len(want.trees) == 8
     for g, w in zip(got.trees, want.trees):
         assert_same_tree(g, w)
+
+
+@pytest.mark.parametrize("kind", ["ties", "continuous"])
+def test_nodes_on_both_sides_of_the_table_cap(kind):
+    X, y = cohort(kind, n=1500)
+    assert_matches_reference(X, y, seed=2, mtry=2)
+
+
+def test_forest_with_bootstrap_above_the_table_cap(monkeypatch):
+    X, y = cohort("continuous", n=1200, d=6)
+    spec = ClassifierSpec("RF", hyperparameters={"n_trees": 3, "bootstrap": 1}, seed=4)
+    got = fit(spec, Dataset(X, y))
+    monkeypatch.setattr(forest, "build_tree", build_tree)
+    want = fit(spec, Dataset(X, y))
+    for g, w in zip(got.trees, want.trees):
+        assert_same_tree(g, w)
+
+
+@pytest.mark.parametrize("d", range(2, 16))
+def test_chunked_subsets_are_numpy_choice_draws(d):
+    """Subset for subset, the draws of ``choice(d, mtry, replace=False)``;
+    after two whole chunks both generators are in the same state.  A numpy
+    release that changes ``choice``'s stream fails here by name."""
+    for seed in range(100):
+        mtry = 1 + seed % (d - 1)
+        ours = np.random.default_rng([d, seed])
+        theirs = np.random.default_rng([d, seed])
+        subsets = tree._feature_subsets(ours, d, mtry)
+        for _ in range(2 * tree._CHUNK):
+            want = np.sort(theirs.choice(d, size=mtry, replace=False))
+            assert next(subsets).tolist() == want.tolist(), (d, mtry, seed)
+        assert ours.integers(0, 2**62) == theirs.integers(0, 2**62), (d, mtry, seed)
+
+
+def _inline_gini(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+
+
+def test_gini_table_is_the_inline_formula_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(tree, "_gini", np.full(1, np.nan))
+    tree._gini_table(40)
+    assert len(tree._gini) == 41 * 42 // 2
+    table = tree._gini_table(10_000)
+    sizes = np.arange(1, 513)
+    n = np.repeat(sizes, sizes + 1)
+    p = np.concatenate([np.arange(k + 1) for k in sizes])
+    assert table[1:].view(np.int64).tolist() == _inline_gini(n, p).view(np.int64).tolist()
+
+
+def test_gini_table_stops_at_512_rows():
+    X, y = cohort("continuous", n=2000)
+    tree.build_tree(X, y, rng=np.random.default_rng(0), mtry=2)
+    assert len(tree._gini) <= 512 * 513 // 2 + 513
 
 
 @given(
