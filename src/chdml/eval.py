@@ -216,18 +216,24 @@ def holdout_split(
 
 
 def _fit_and_score(
-    spec: ClassifierSpec, train: Dataset, test: Dataset
-) -> tuple[float, float, bool]:
-    """AUC, plain accuracy, and convergence of ``spec`` fitted on ``train``
-    and scored on ``test``; the caller sets the spec's seed."""
-    if spec.algorithm in STANDARDIZED_ALGORITHMS:
-        train, test = standardize(train, train), standardize(train, test)
-    model = models.fit(spec, train)
-    scores = models.score_many(model, test.features)
-    auc = roc_auc(scores, test.labels)
-    predicted = (scores > models.threshold_for(model)).astype(np.int64)
-    accuracy = float((predicted == test.labels).mean())
-    return auc, accuracy, bool(getattr(model, "converged", True))
+    specs: Sequence[ClassifierSpec], train: Dataset, test: Dataset
+) -> list[tuple[float, float, bool]]:
+    """AUC, plain accuracy, and convergence of each spec fitted on ``train``
+    and scored on ``test``; the caller sets the specs' seeds.  The pair is
+    z-scored once, by ``train``'s statistics, for the specs that need it."""
+    scaled = None
+    if any(s.algorithm in STANDARDIZED_ALGORITHMS for s in specs):
+        scaled = standardize(train, train), standardize(train, test)
+    results = []
+    for spec in specs:
+        fit_on, score_on = scaled if spec.algorithm in STANDARDIZED_ALGORITHMS else (train, test)
+        model = models.fit(spec, fit_on)
+        scores = models.score_many(model, score_on.features)
+        auc = roc_auc(scores, score_on.labels)
+        predicted = (scores > models.threshold_for(model)).astype(np.int64)
+        accuracy = float((predicted == score_on.labels).mean())
+        results.append((auc, accuracy, bool(getattr(model, "converged", True))))
+    return results
 
 
 def score_folds(
@@ -249,17 +255,19 @@ def score_folds(
         dataset, split_mode = smote(dataset, smote_params or SmoteParams()), SmoteMode.NONE
     fits = []  # fits[f][i]: (AUC, accuracy, converged) of specs[i] on fold f
     for f, (train, test) in enumerate(iter_cv_splits(dataset, k, seed, split_mode, smote_params)):
-        fits.append([_fit_and_score(s.replace(seed=child_seed(s.seed, f)), train, test)
-                     for s in specs])
-    holdout = None if test_fraction is None else holdout_split(
-        dataset, seed, split_mode, smote_params, test_fraction)
+        fits.append(_fit_and_score(
+            [s.replace(seed=child_seed(s.seed, f)) for s in specs], train, test))
+    holdout_aucs = [None] * len(specs)
+    if test_fraction is not None:
+        holdout = holdout_split(dataset, seed, split_mode, smote_params, test_fraction)
+        holdout_aucs = [auc for auc, _, _ in _fit_and_score(specs, *holdout)]
     summaries = []
-    for spec, per_fold in zip(specs, zip(*fits)):
+    for spec, per_fold, holdout_auc in zip(specs, zip(*fits), holdout_aucs):
         aucs, accs, flags = zip(*per_fold)
         summaries.append(EvalSummary(
             spec=spec, mode=mode, fold_aucs=aucs, mean=float(np.mean(aucs)),
             std=float(np.std(aucs, ddof=1)), fold_accuracies=accs, fold_converged=flags,
-            holdout_auc=None if holdout is None else _fit_and_score(spec, *holdout)[0],
+            holdout_auc=holdout_auc,
         ))
     return summaries
 
@@ -286,7 +294,7 @@ def holdout_evaluate(
 ) -> float:
     """ROC-AUC of ``spec`` fitted with its own seed on :func:`holdout_split`."""
     train, test = holdout_split(dataset, seed, mode, smote_params, test_fraction)
-    return _fit_and_score(spec, train, test)[0]
+    return _fit_and_score([spec], train, test)[0][0]
 
 
 def grid_search(

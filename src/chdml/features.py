@@ -108,9 +108,10 @@ def score_features(
     """Score every predictor against the labels.
 
     Continuous columns are discretized first; binary/ordinal columns (when
-    ``kinds`` is given) use their raw values as codes.  Without ``kinds``
-    every column goes through :func:`discretize`, which leaves low-arity
-    columns intact anyway whenever ``bins`` covers their distinct values.
+    ``kinds`` is given) go to :func:`mutual_information` as they are, since
+    it codes each distinct value itself.  Without ``kinds`` every column
+    goes through :func:`discretize`, which leaves low-arity columns intact
+    anyway whenever ``bins`` covers their distinct values.
     """
     if dataset.n_rows == 0:
         raise DataError("cannot score an empty dataset")
@@ -119,11 +120,9 @@ def score_features(
     scores = []
     for j in range(dataset.n_features):
         column = dataset.features[:, j]
-        if kinds is not None and kinds[j] is not FeatureKind.CONTINUOUS:
-            codes = np.unique(column, return_inverse=True)[1]
-        else:
-            codes = discretize(column, bins)
-        scores.append(mutual_information(codes, dataset.labels))
+        if kinds is None or kinds[j] is FeatureKind.CONTINUOUS:
+            column = discretize(column, bins)
+        scores.append(mutual_information(column, dataset.labels))
     return FeatureScores(scores=tuple(scores), names=tuple(dataset.feature_names))
 
 

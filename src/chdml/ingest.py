@@ -22,7 +22,8 @@ and the first it breaks is the reason its error gives:
 The error names the first bad cell of the file: its 1-based data row
 (blank lines count) and, within that row, the first bad column in schema
 order, which need not be the file's column order.  A field longer than
-``csv``'s limit of 131,072 characters is refused with its row.
+``csv``'s limit of 131,072 characters is refused with its row, and a row
+holding bytes that are not UTF-8 as a whole, in its place in file order.
 """
 
 from __future__ import annotations
@@ -309,12 +310,22 @@ def _column_values(texts: list[str], col: Column) -> tuple[np.ndarray, tuple[int
     return values, min(firsts, key=lambda first: first[0], default=None)
 
 
+def _refuse_undecodable(row: list[str]) -> None:
+    """Raise the ``UnicodeDecodeError`` of a row that holds bytes that are
+    not UTF-8.  The file is decoded with ``errors="surrogateescape"``, which
+    turns such bytes into lone surrogates; encoding them back and decoding
+    strictly raises the error, with its reason."""
+    ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _parse_block(
     rows: list[list[str]], numbers: list[int], schema: Schema, positions: list[int]
 ) -> list[np.ndarray]:
     """Parse a block of rows into one float64 vector per schema column, or
     raise for its first bad cell: the first row that has one, and in it the
-    first bad column in schema order."""
+    first bad column in schema order.  ``float()`` rejects a cell with bytes
+    that are not UTF-8, so that row is the first to hold any; it raises
+    ``UnicodeDecodeError`` instead."""
     columns, problems = [], []
     for k, (col, pos) in enumerate(zip(schema.columns, positions)):
         values, problem = _column_values([row[pos] for row in rows], col)
@@ -323,6 +334,7 @@ def _parse_block(
             problems.append((problem[0], k, problem[1]))
     if problems:
         i, k, reason = min(problems)
+        _refuse_undecodable(rows[i])
         detail = f" ({reason})" if reason else ""
         raise DataError(
             f"row {numbers[i]}, column {schema.columns[k].name!r}: "
@@ -336,10 +348,11 @@ def _row_blocks(
 ) -> Iterator[tuple[list[list[str]], list[int]]]:
     """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows.
 
-    A row with the wrong field count or an over-long field, or text that is
-    not UTF-8, ends the current block early: the block is yielded, so that
-    its cells are checked and an earlier bad cell is reported first, and
-    then the error is raised.  Blocks may be empty.
+    A row with the wrong field count or an over-long field ends the current
+    block early: the block is yielded, so that its cells are checked and an
+    earlier bad cell is reported first, and then the error is raised (a
+    ``UnicodeDecodeError`` if the short row holds bytes that are not UTF-8).
+    Blocks may be empty.
     """
     rows: list[list[str]] = []
     numbers: list[int] = []
@@ -350,15 +363,13 @@ def _row_blocks(
                 continue  # ignore blank lines
             if len(row) != width:
                 yield rows, numbers
+                _refuse_undecodable(row)
                 raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
             rows.append(row)
             numbers.append(number)
             if len(rows) == _BLOCK:
                 yield rows, numbers
                 rows, numbers = [], []
-    except UnicodeDecodeError:
-        yield rows, numbers
-        raise
     except csv.Error as exc:  # raised while reading the row after `number`
         yield rows, numbers
         raise DataError(f"{path}: row {number + 1}: {exc}") from None
@@ -373,11 +384,12 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     column, for a cell that breaks a rule of the module docstring (naming
     its 1-based data row and its column; the first such cell in the file),
     and, naming ``path``, for a row with the wrong field count or an
-    over-long field, or a file that is not UTF-8 text.
+    over-long field, or for the first row (or header) that is not UTF-8
+    text.
     """
     parts: list[list[np.ndarray]] = []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -385,6 +397,7 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
                 raise DataError(f"{path}: file is empty (no header row)") from None
             except csv.Error as exc:
                 raise DataError(f"{path}: header row: {exc}") from None
+            _refuse_undecodable(header)
             positions = _match_header(header, schema)
             for rows, numbers in _row_blocks(reader, len(header), path):
                 if rows:

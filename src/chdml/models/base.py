@@ -52,7 +52,10 @@ DEFAULT_HYPERPARAMETERS: Mapping[str, Mapping[str, float]] = {
 #: default are compared after rounding, as :meth:`ClassifierSpec.resolved` rounds them.
 HYPERPARAMETER_BOUNDS: Mapping[str, tuple[str, float]] = {
     "step": ("above", 0), "tol": ("above", 0), "C": ("above", 0),
-    "gamma": ("at least", 0), "k": ("at least", 1), "n_trees": ("at least", 1),
+    "gamma": ("at least", 0), "lambda": ("at least", 0), "var_floor_ratio": ("at least", 0),
+    "k": ("at least", 1), "n_trees": ("at least", 1), "max_iter": ("at least", 1),
+    "min_samples_split": ("at least", 1), "max_depth": ("at least", 0),
+    "mtry": ("at least", 0),
 }
 
 FORMAT_VERSION = 1

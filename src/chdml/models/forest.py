@@ -40,8 +40,7 @@ def fit(spec: ClassifierSpec, train: Dataset) -> ForestModel:
     """
     hp = spec.resolved()
     d = train.n_features
-    mtry = hp["mtry"] or int(math.floor(math.sqrt(d)))
-    mtry = min(max(mtry, 1), d)
+    mtry = min(hp["mtry"] or int(math.floor(math.sqrt(d))), d)
 
     X, y = train.features, train.labels
     n = train.n_rows

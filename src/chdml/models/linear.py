@@ -102,29 +102,23 @@ def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:
     b = 0.0
     margins = _margins(w, b, X)
     loss = nll_loss(w, b, X, y, lam, margins)
-    converged = False
 
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):  # the last gradient is only tested
         grad_w, grad_b = nll_gradient(w, b, X, y, lam, margins)
-        if max(float(np.max(np.abs(grad_w))), abs(grad_b)) < tol:
-            converged = True
+        converged = max(float(np.max(np.abs(grad_w))), abs(grad_b)) < tol
+        if converged or it == max_iter:
             break
         step = step0
-        accepted = False
         for _ in range(_MAX_HALVINGS):
             w_next = w - step * grad_w
             b_next = b - step * grad_b
             margins_next = _margins(w_next, b_next, X)
             loss_next = nll_loss(w_next, b_next, X, y, lam, margins_next)
             if loss_next <= loss:
-                accepted = True
                 break
             step /= 2.0
-        if not accepted:
+        else:
             break  # loss cannot be decreased further at any step size
         w, b, loss, margins = w_next, b_next, loss_next, margins_next
-    else:
-        grad_w, grad_b = nll_gradient(w, b, X, y, lam, margins)
-        converged = max(float(np.max(np.abs(grad_w))), abs(grad_b)) < tol
 
     return LogisticModel(spec=spec, weights=w, bias=b, converged=converged)

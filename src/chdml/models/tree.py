@@ -18,16 +18,17 @@ order and the draws of the feature generator do not depend on this layout.
 Two shortcuts cut the fixed cost of a node and keep every tree the same
 bit for bit.  In a node of at most 512 rows, a child's weighted impurity
 ``n * gini`` is read from a process-wide table indexed by (n, p), the rows
-and positives of the child; its entries come from the same int64 and
-float64 operations as the inline formula, which larger nodes still use.
-The table grows row by row to the largest sample seen, at most 131,841
-floats (1.05 MB).  Random feature subsets are drawn by Floyd's algorithm
+and positives of the child; its entries come from the same function, and
+so the same int64 and float64 operations, that larger nodes call inline.
+The table is built once, on first use, for all 512 rows: 131,841 floats
+(1.05 MB).  Random feature subsets are drawn by Floyd's algorithm
 64 nodes at a time from one bounded-integer call: the same draws, in the
 same order, as one ``Generator.choice(d, mtry, replace=False)`` per node.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -38,33 +39,30 @@ from .base import ClassifierSpec
 
 __all__ = ["Tree", "build_tree", "CartModel", "fit"]
 
-#: Largest node whose cuts read their weighted Gini from ``_gini``.
+#: Largest node whose cuts read their weighted Gini from ``_gini_table()``.
 _TABLE_ROWS = 512
 #: Feature subsets drawn per generator call.
 _CHUNK = 64
 #: ``_TRI[n]`` = n(n+1)/2, where row n of the table starts.
 _TRI = np.cumsum(np.arange(_TABLE_ROWS + 2))
-#: ``_gini[_TRI[n] + p]`` = n * (1 - (p² + (n-p)²) / n²) for 0 <= p <= n;
-#: the entry of n = 0 is never read.
-_gini = np.full(1, np.nan)
 
 
-def _gini_table(rows: int) -> np.ndarray:
-    """The table, grown one row at a time to ``min(rows, 512)`` rows.
+def _weighted_gini(n: np.ndarray | int, p: np.ndarray) -> np.ndarray:
+    """``n * gini`` of a node of ``n`` rows, ``p`` of them positive."""
+    return n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+
+
+@functools.cache
+def _gini_table() -> np.ndarray:
+    """``table[_TRI[n] + p]`` = ``_weighted_gini(n, p)`` for 1 <= n <= 512
+    and 0 <= p <= n; the NaN entry of n = 0 is never read.
 
     Rows are filled one by one because one vectorized expression over the
     whole table allocates temporaries several times its 1.05 MB.
     """
-    global _gini
-    table = _gini
-    top = min(rows, _TABLE_ROWS)
-    if len(table) < _TRI[top + 1]:
-        grown = np.empty(_TRI[top + 1])
-        grown[: len(table)] = table
-        for n in np.arange(np.searchsorted(_TRI, len(table)), top + 1):
-            p = np.arange(n + 1)
-            grown[_TRI[n] : _TRI[n + 1]] = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
-        table = _gini = grown
+    table = np.full(_TRI[_TABLE_ROWS + 1], np.nan)
+    for n in range(1, _TABLE_ROWS + 1):
+        table[_TRI[n] : _TRI[n + 1]] = _weighted_gini(n, np.arange(n + 1))
     return table
 
 
@@ -126,7 +124,6 @@ def _best_split(
     orders: np.ndarray,
     features: np.ndarray,
     pos: int,
-    gini: np.ndarray,
 ) -> tuple[int, float, int, int] | None:
     """Lowest weighted-Gini split over ``features``, or None if all are constant.
 
@@ -135,8 +132,7 @@ def _best_split(
     all candidates are scored in one (k, m - 1) pass; cuts between equal
     values read ``inf``.  With ``features`` ascending, the first minimum of
     the feature-major array realizes the tie rule.  Returns the feature, the
-    threshold, and the left child's row and positive counts.  ``gini`` is
-    ``_gini_table`` grown to at least ``min(m, 512)`` rows.
+    threshold, and the left child's row and positive counts.
     """
     rows = orders[features]
     m = rows.shape[1]
@@ -144,6 +140,7 @@ def _best_split(
     p_left = y[rows[:, :-1]].cumsum(axis=1)
     if m <= _TABLE_ROWS:
         # left child of cut i has i+1 rows, the right one m-i-1
+        gini = _gini_table()
         weighted = (
             gini.take(_TRI[1:m] + p_left) + gini.take((_TRI[m - 1 : 0 : -1] + pos) - p_left)
         ) / m
@@ -151,8 +148,7 @@ def _best_split(
         # left then right child of every cut, side by side
         n_left = np.arange(1, m)
         n = np.concatenate((n_left, m - n_left))
-        p = np.concatenate((p_left, pos - p_left), axis=1)
-        n_gini = n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
+        n_gini = _weighted_gini(n, np.concatenate((p_left, pos - p_left), axis=1))
         weighted = (n_gini[:, : m - 1] + n_gini[:, m - 1 :]) / m
     weighted = np.where(sv[:, 1:] > sv[:, :-1], weighted, np.inf)
     k, i = divmod(int(weighted.argmin()), m - 1)
@@ -195,15 +191,14 @@ def build_tree(
     bootstrap sample first).
 
     Nodes of at most 512 rows read their cuts' weighted Gini from a table
-    shared by all trees of the process, grown here to ``min(n, 512)`` rows
-    (at most 1.05 MB); larger nodes compute it inline with the same
-    operations.
+    shared by all trees of the process, built once for all 512 rows
+    (1.05 MB) by the first tree that needs it; larger nodes compute it
+    inline with the same function.
     """
     n, d = X.shape
     Xt = np.ascontiguousarray(X.T)
     orders = np.argsort(Xt, axis=1, kind="stable")
     goes_left = np.zeros(n, dtype=bool)
-    gini = _gini_table(n)
     subsets = None
     if rng is not None and mtry is not None and mtry < d:
         subsets = _feature_subsets(rng, d, mtry)
@@ -223,7 +218,7 @@ def build_tree(
         if keep is not None:
             orders = orders.compress(keep).reshape(d, -1)
         candidates = all_features if subsets is None else next(subsets)
-        split = _best_split(Xt, y, orders, candidates, pos, gini)
+        split = _best_split(Xt, y, orders, candidates, pos)
         if split is None:
             continue
         f, thr, n_left, p_left = split

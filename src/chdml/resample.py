@@ -27,11 +27,12 @@ __all__ = ["SmoteParams", "minority_neighbors", "smote"]
 class SmoteParams:
     """Oversampling knobs.
 
-    ``target_ratio`` is the desired minority/majority count ratio (1.0 =
-    parity).  ``round_nominal`` optionally snaps the listed columns of
-    synthetic rows to the nearest integer, for callers who cannot accept
-    fractional values in nominal columns; it is off by default because
-    interpolation is defined on the full feature matrix.
+    ``target_ratio`` is the desired minority/majority count ratio, in
+    (0, 1] (1.0 = parity), so the minority never outgrows the majority.
+    ``round_nominal`` optionally snaps the listed columns of synthetic rows
+    to the nearest integer, for callers who cannot accept fractional values
+    in nominal columns; it is off by default because interpolation is
+    defined on the full feature matrix.
     """
 
     k_neighbors: int = 5
@@ -43,8 +44,8 @@ class SmoteParams:
     def __post_init__(self) -> None:
         ratio, nominal = self.target_ratio, self.nominal_columns
         real = isinstance(ratio, numbers.Real) and not isinstance(ratio, bool)
-        if not (real and 0 < ratio < math.inf):
-            raise ConfigError(f"target_ratio must be a positive number, not {ratio!r}")
+        if not (real and 0 < ratio <= 1):
+            raise ConfigError(f"target_ratio must be a number in (0, 1], not {ratio!r}")
         if self.round_nominal not in (False, True):
             raise ConfigError(f"round_nominal must be a bool, not {self.round_nominal!r}")
         if not isinstance(nominal, (list, tuple)):
@@ -94,8 +95,6 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
     n_new = wanted - n_min
     if n_new <= 0:
         return dataset
-    if n_min < 2:
-        raise DataError("need at least 2 minority rows")
 
     min_idx = np.flatnonzero(dataset.labels == minority_label)
     X_min = dataset.features[min_idx]

@@ -225,11 +225,19 @@ class TestExitCodes:
             {"algorithm": "LR", "hyperparameters": {"step": 0}},
             {"algorithm": "SVM", "hyperparameters": {"gamma": -2}},
             {"algorithm": "KNN", "hyperparameters": {"k": True}},
+            {"algorithm": "CART", "hyperparameters": {"max_depth": -1}},
+            {"algorithm": "LR", "hyperparameters": {"max_iter": -5}},
+            {"algorithm": "LR", "hyperparameters": {"lambda": -50}},
+            {"algorithm": "RF", "hyperparameters": {"mtry": -3}},
+            {"algorithm": "NB", "hyperparameters": {"var_floor_ratio": -1}},
+            {"algorithm": "CART", "hyperparameters": {"min_samples_split": 0}},
         ],
         ids=[
             "no-algorithm-key", "not-an-object", "text-k", "negative-n-trees",
             "hyperparameters-not-object", "text-seed", "negative-C", "zero-step",
-            "negative-gamma", "bool-k",
+            "negative-gamma", "bool-k", "negative-max-depth", "negative-max-iter",
+            "negative-lambda", "negative-mtry", "negative-var-floor-ratio",
+            "zero-min-samples-split",
         ],
     )
     def test_bad_algorithm_entry_is_config_error(self, tmp_path, capsys, entry):
@@ -254,11 +262,13 @@ class TestExitCodes:
             ({"output_dir": None}, "output_dir"),
             ({"algorithms": "LR"}, "algorithms"),
             ({"smote": {"k_neighbors": 2.5}}, "k_neighbors"),
+            ({"smote": {"target_ratio": 1e300}}, "target_ratio"),
         ],
         ids=[
             "text-cv_k", "text-seed", "number-drop_columns", "null-mi_bins",
             "text-test_fraction", "text-select_k", "list-smote", "fractional-cv_k",
             "null-output_dir", "text-algorithms", "fractional-k_neighbors",
+            "huge-target_ratio",
         ],
     )
     def test_bad_config_value_is_one_line(self, tmp_path, capsys, overrides, key):

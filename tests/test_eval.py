@@ -296,6 +296,20 @@ class TestScoreFolds:
             auc = holdout_evaluate(spec, data, 6, mode, params, test_fraction=0.25)
             assert summary.to_doc() == dataclasses.replace(alone, holdout_auc=auc).to_doc()
 
+    @pytest.mark.parametrize(
+        "algorithms, per_pair",
+        [(["LR", "SVM", "KNN", "NB"], 2), (["KNN"], 2), (["NB", "CART"], 0)],
+        ids=["three-scaled", "one-scaled", "none-scaled"],
+    )
+    def test_one_z_score_per_pair(self, monkeypatch, algorithms, per_pair):
+        calls = []
+        standardize = chdml.eval.standardize
+        monkeypatch.setattr(chdml.eval, "standardize",
+                            lambda *args: calls.append(1) or standardize(*args))
+        specs = [ClassifierSpec(a, {"max_iter": 20} if a == "LR" else {}) for a in algorithms]
+        score_folds(specs, two_blobs(n0=40, n1=15, seed=5), 4, 0, test_fraction=0.25)
+        assert len(calls) == per_pair * (4 + 1)
+
 
 class TestSmoteMode:
     def test_from_string(self):

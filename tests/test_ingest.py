@@ -11,6 +11,7 @@ the same message.
 
 import csv
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -358,6 +359,23 @@ class TestBlockedRead:
         path = tmp_path / "t.csv"
         path.write_bytes(mini_csv(rows).encode() + b"\xff\n")
         with pytest.raises(DataError, match="^row 1, column 'age'"):
+            chdml.load_csv(str(path))
+
+    def test_bad_cell_reported_before_bytes_that_are_not_utf8_in_the_same_chunk(
+        self, tmp_path
+    ):
+        rows = [ROW_A.replace(",44,", ",x,"), ROW_A, ROW_A.replace(",44,", ",5\udcff,")]
+        path = tmp_path / "t.csv"
+        path.write_bytes(mini_csv(rows).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError, match="^row 1, column 'age': cannot parse 'x'$"):
+            chdml.load_csv(str(path))
+
+    def test_first_row_that_is_not_utf8_is_refused_by_path(self, tmp_path):
+        rows = [ROW_A, ROW_A.replace(",44,", ",5\udcff,"), ROW_A.replace(",44,", ",x,")]
+        path = tmp_path / "t.csv"
+        path.write_bytes(mini_csv(rows).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                           r"\(invalid start byte\)$"):
             chdml.load_csv(str(path))
 
     def test_missing_spellings_and_rejected_nan(self, tmp_path):

@@ -31,6 +31,11 @@ class TestParams:
         with pytest.raises(ConfigError):
             SmoteParams(target_ratio=-1.0)
 
+    @pytest.mark.parametrize("ratio", [1.5, 1e300, float("nan")])
+    def test_target_ratio_above_parity_rejected(self, ratio):
+        with pytest.raises(ConfigError, match=r"target_ratio must be a number in \(0, 1\]"):
+            SmoteParams(target_ratio=ratio)
+
 
 class TestMinorityNeighbors:
     def test_one_dimensional_line(self):

@@ -238,21 +238,13 @@ def _inline_gini(n: np.ndarray, p: np.ndarray) -> np.ndarray:
     return n * (1.0 - (p**2 + (n - p) ** 2) / n**2)
 
 
-def test_gini_table_is_the_inline_formula_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(tree, "_gini", np.full(1, np.nan))
-    tree._gini_table(40)
-    assert len(tree._gini) == 41 * 42 // 2
-    table = tree._gini_table(10_000)
+def test_gini_table_is_the_inline_formula_bit_for_bit():
+    table = tree._gini_table()
+    assert len(table) == 512 * 513 // 2 + 513
     sizes = np.arange(1, 513)
     n = np.repeat(sizes, sizes + 1)
     p = np.concatenate([np.arange(k + 1) for k in sizes])
     assert table[1:].view(np.int64).tolist() == _inline_gini(n, p).view(np.int64).tolist()
-
-
-def test_gini_table_stops_at_512_rows():
-    X, y = cohort("continuous", n=2000)
-    tree.build_tree(X, y, rng=np.random.default_rng(0), mtry=2)
-    assert len(tree._gini) <= 512 * 513 // 2 + 513
 
 
 @given(
