@@ -80,9 +80,9 @@ class EvalSummary:
     fold_aucs: tuple[float, ...]
     mean: float
     std: float
-    fold_accuracies: tuple[float, ...] = ()
-    fold_converged: tuple[bool, ...] = ()
-    holdout_auc: float | None = None
+    fold_accuracies: tuple[float, ...]
+    fold_converged: tuple[bool, ...]
+    holdout_auc: float | None
 
     def to_doc(self) -> dict[str, Any]:
         return {

@@ -9,8 +9,11 @@ file was exported.
 
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
-column vectors.  Each cell is checked against these rules, in this order,
-and the first it breaks is the reason its error gives:
+column vectors.  Rows are read in blocks, and each column of a block is
+parsed by ``float()`` in bulk; a column holding a missing token or text that
+``float()`` rejects is parsed again cell by cell.  Each cell is checked
+against these rules, in this order, and the first it breaks is the reason
+its error gives:
 
 1. a missing cell in the target column: ``target may not be missing``;
 2. text that ``float()`` rejects: no reason;
@@ -271,25 +274,19 @@ def _float_or_none(text: str) -> float | None:
         return None
 
 
-def _column_values(texts: list[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
+def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
     """One column of a block as float64, and the index and reason of its first
     cell that breaks a rule of the module docstring (``None`` if none does)."""
-    cells = None  # parsed one by one only when float() rejects some text
     try:
         values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:  # a missing token, or text float() rejects
-        try:
-            values = np.array(
-                [math.nan if t.strip().lower() in MISSING_TOKENS else float(t) for t in texts]
-            )
-        except ValueError:
-            cells = [_float_or_none(t) for t in texts]
-            values = np.array(cells, dtype=np.float64)
+    except ValueError:  # a missing token, or text float() rejects: either is NaN here
+        values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
     finite = np.isfinite(values)
     firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
     for i in np.flatnonzero(~finite).tolist():  # rules 1-3
         if texts[i].strip().lower() not in MISSING_TOKENS:
-            firsts.append((i, "" if cells and cells[i] is None else "not a finite number"))
+            reason = "" if _float_or_none(texts[i]) is None else "not a finite number"
+            firsts.append((i, reason))
             break
         if col.target:
             firsts.append((i, "target may not be missing"))
@@ -327,8 +324,9 @@ def _parse_block(
     that are not UTF-8, so that row is the first to hold any; it raises
     ``UnicodeDecodeError`` instead."""
     columns, problems = [], []
+    file_columns = list(zip(*rows))
     for k, (col, pos) in enumerate(zip(schema.columns, positions)):
-        values, problem = _column_values([row[pos] for row in rows], col)
+        values, problem = _column_values(file_columns[pos], col)
         columns.append(values)
         if problem is not None:
             problems.append((problem[0], k, problem[1]))
@@ -450,9 +448,10 @@ def schema_from_json(path: str) -> Schema:
     Objects may carry optional ``low``/``high`` bounds for ordinal columns.
     A file that is not a JSON array, or an entry without a string name, a
     known kind, a boolean ``target`` or finite numeric bounds with ``low``
-    at most ``high``, raises :class:`ConfigError` naming the path and the
-    entry's index; a schema without exactly one
-    binary target, or with a repeated name, raises it naming the path.
+    at most ``high``, or with bounds on a column that is not ordinal, raises
+    :class:`ConfigError` naming the path and the entry's index; a schema
+    without exactly one binary target, or with a repeated name, raises it
+    naming the path.
     """
     raw = read_json(path)
     if not isinstance(raw, list):
@@ -472,6 +471,10 @@ def schema_from_json(path: str) -> Schema:
                 f'{path}: schema entry {i}: "name" must be a string and "target" a boolean'
             )
         low, high = entry.get("low"), entry.get("high")
+        if kind is not FeatureKind.ORDINAL and (low, high) != (None, None):
+            raise ConfigError(
+                f'{path}: schema entry {i}: "low" and "high" apply only to ordinal columns'
+            )
         if not all(
             b is None or type(b) is int or type(b) is float and math.isfinite(b)
             for b in (low, high)

@@ -141,11 +141,22 @@ def _decode(value: Any) -> Any:
     return np.asarray(value, dtype=np.float64) if arr.dtype.kind in "OU" else arr
 
 
-def _tree_problem(model: TrainedModel) -> str | None:
-    """Why the trees of ``model`` do not have the layout
-    :func:`tree.build_tree` writes, or None.  That layout (five equal-length
+def _parameter_problem(model: TrainedModel) -> str | None:
+    """Why the parameters of ``model`` are not ones :func:`fit` could have
+    written, or None: a KNN ``k`` that is not an integer of at least 1, NB
+    variances that are not all finite and positive, or trees without the
+    layout :func:`tree.build_tree` writes.  That layout (five equal-length
     node arrays, leaves without children, every child numbered after its
     parent) is what makes scoring end at a leaf."""
+    if isinstance(model, KnnModel):
+        if type(model.k) is not int or model.k < 1:
+            return f"k must be an integer of at least 1, not {model.k!r}"
+        return None
+    if isinstance(model, NaiveBayesModel):
+        variances = np.asarray(model.variances, dtype=np.float64)
+        if not (np.isfinite(variances) & (variances > 0)).all():
+            return "variances must be finite and positive"
+        return None
     if isinstance(model, CartModel):
         trees = (model.tree,)
     elif isinstance(model, ForestModel):
@@ -218,7 +229,7 @@ def model_from_json(text: str) -> TrainedModel:
             params["n_features"] = np.shape(params["support_vectors"])[-1]
         _, model_class = _ALGORITHM_TABLE[spec.algorithm]
         model = model_class(spec=spec, **params)
-        problem = _tree_problem(model)
+        problem = _parameter_problem(model)
     except (TypeError, ValueError, KeyError, RecursionError) as exc:
         raise DataError(f"malformed {spec.algorithm} model: {exc}") from None
     if problem is not None:

@@ -29,8 +29,6 @@ __all__ = [
     "take_rows",
 ]
 
-OUTLIER_METHODS = ("IQR", "Sigma")
-
 #: Most values the difference block of one distance chunk holds; bounds memory.
 #: At 8 MB a block stays small next to the rest of a run's heap, so where the
 #: allocator places it (a reused hole or a fresh mapping) barely moves the peak.
@@ -183,6 +181,7 @@ def sigma_outlier_mask(values: Sequence[float]) -> np.ndarray:
 
 
 _MASKS = {"IQR": iqr_outlier_mask, "Sigma": sigma_outlier_mask}
+OUTLIER_METHODS = tuple(_MASKS)
 
 
 def normalize_method(method: str) -> str:

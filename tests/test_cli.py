@@ -333,6 +333,12 @@ class TestExitCodes:
                 None, 2,
                 'configuration error: {schema}: schema entry 1: "low" 5 is above "high" 2.5',
             ),
+            (
+                '[{"name": "x", "kind": "ordinal", "low": 1},'
+                ' {"name": "age", "kind": "continuous", "low": 30, "high": 70}]',
+                None, 2, 'configuration error: {schema}: schema entry 1: "low" and "high" '
+                "apply only to ordinal columns",
+            ),
             (None, "inf", 3, "data error: row 1, column 'age': cannot parse 'inf' "),
             (None, "-inf", 3, "data error: row 1, column 'age': cannot parse '-inf' "),
             (None, "nan", 3, "data error: row 1, column 'age': cannot parse 'nan' "),
@@ -342,6 +348,7 @@ class TestExitCodes:
             "schema-unknown-kind", "schema-text-bound", "schema-no-target",
             "schema-names-differ-in-case", "schema-text-target", "schema-nan-bound",
             "schema-infinite-high", "schema-minus-infinite-low", "schema-low-above-high",
+            "schema-bound-on-continuous",
             "inf", "-inf", "nan",
         ],
     )

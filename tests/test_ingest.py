@@ -484,6 +484,11 @@ class TestSameAsRowByRowReader:
     @given(cohort_files(st.integers(1, 14), block=4))
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740993,1,-5,0,0\n"))  # to 2**53
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740995,1,3,0,0\n"))  # 2**53 + 4
+    # a column block with a missing token and a rejected cell, an inf, or both
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,NA,0\n1,1,1,1,x,0\n1,1,1,1,inf,0\n"))
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,NA,0\n1,1,1,1,inf,0\n1,1,1,1,x,0\n"))
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1, na ,0\n1,1,1,1,\x1cNA,0\n"))
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,x,0\n1,1,1,1,NA,NA\n"))
     def test_small_blocks(self, csv_path, case):
         schema, text = case
         csv_path.write_text(text, encoding="utf-8")

@@ -405,10 +405,18 @@ class TestDispatch:
             ("SVM", "support_vectors", None),
             ("LR", "bias", "abc"),
             ("RF", "trees", []),
+            ("KNN", "k", 0),
+            ("KNN", "k", -2),
+            ("KNN", "k", 2.5),
+            ("KNN", "k", 1e400),
+            ("NB", "variances", [[-1.0, 1.0], [1.0, 1.0]]),
+            ("NB", "variances", [[1.0, 1.0], [1.0, 1e400]]),
         ],
         ids=[
             "tree-unknown-key", "null-and-text", "text-in-list", "svm-without-vectors",
-            "text-scalar", "forest-without-trees",
+            "text-scalar", "forest-without-trees", "knn-zero-k", "knn-negative-k",
+            "knn-fractional-k", "knn-infinite-k", "nb-negative-variance",
+            "nb-infinite-variance",
         ],
     )
     def test_malformed_parameter_is_data_error(self, algorithm, name, value):
