@@ -1,4 +1,14 @@
-"""Mutual-information feature scoring and top-k selection."""
+"""Mutual-information feature scoring and top-k selection.
+
+Scores are plug-in estimates from a joint table of exact integer counts,
+one ``np.bincount`` over dense codes (each value's rank among the values
+that occur).  :func:`score_features` codes the labels once per call, and
+renumbers the codes :func:`discretize` returns, which may skip an empty
+bin, by counting rather than by a second sort.  The table then has the
+same shape and cells as when each column is coded with ``np.unique`` (a
+skipped code would add a row of zeros), so its row and column sums, and
+the scores, are the same bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -74,6 +84,31 @@ def discretize(values: Sequence[float], bins: int) -> np.ndarray:
     return np.searchsorted(edges, v, side="left").astype(np.int64)
 
 
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and how many there are."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return codes, distinct.size
+
+
+def _compact_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`_dense_codes` of non-negative integer codes, without a sort:
+    each code's rank among the codes that occur."""
+    present = np.bincount(codes) > 0
+    return np.cumsum(present)[codes] - 1, int(np.count_nonzero(present))
+
+
+def _plug_in_mi(xi: np.ndarray, nx: int, yi: np.ndarray, ny: int) -> float:
+    """Mutual information (nats) of dense codes ``xi`` (of ``nx`` values) and
+    ``yi`` (of ``ny`` values).  The joint table holds exact integer counts."""
+    joint = np.bincount(xi * ny + yi, minlength=nx * ny).reshape(nx, ny) / xi.size
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nz = joint > 0
+    ratio = joint[nz] / np.outer(px, py)[nz]
+    total = float(np.sum(joint[nz] * np.log(ratio)))
+    return max(total, 0.0)
+
+
 def mutual_information(x_codes: Sequence[int], y: Sequence[int]) -> float:
     """Plug-in mutual information (nats) of two discrete vectors.
 
@@ -84,20 +119,9 @@ def mutual_information(x_codes: Sequence[int], y: Sequence[int]) -> float:
     yv = np.asarray(y)
     if x.shape != yv.shape:
         raise DataError("x and y must have equal length")
-    n = x.size
-    if n == 0:
+    if x.size == 0:
         raise DataError("mutual information of empty vectors")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(yv, return_inverse=True)
-    joint = np.zeros((xi.max() + 1, yi.max() + 1), dtype=np.float64)
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= n
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    ratio = joint[nz] / np.outer(px, py)[nz]
-    total = float(np.sum(joint[nz] * np.log(ratio)))
-    return max(total, 0.0)
+    return _plug_in_mi(*_dense_codes(x), *_dense_codes(yv))
 
 
 def score_features(
@@ -108,21 +132,25 @@ def score_features(
     """Score every predictor against the labels.
 
     Continuous columns are discretized first; binary/ordinal columns (when
-    ``kinds`` is given) go to :func:`mutual_information` as they are, since
-    it codes each distinct value itself.  Without ``kinds`` every column
-    goes through :func:`discretize`, which leaves low-arity columns intact
-    anyway whenever ``bins`` covers their distinct values.
+    ``kinds`` is given) are scored as they are, each distinct value its own
+    code.  Without ``kinds`` every column goes through :func:`discretize`,
+    which leaves low-arity columns intact anyway whenever ``bins`` covers
+    their distinct values.  Each score is :func:`mutual_information` of the
+    column, or of its codes, bit for bit.
     """
     if dataset.n_rows == 0:
         raise DataError("cannot score an empty dataset")
     if kinds is not None and len(kinds) != dataset.n_features:
         raise DataError("kinds must have one entry per feature")
+    yi, ny = _dense_codes(dataset.labels)
     scores = []
     for j in range(dataset.n_features):
         column = dataset.features[:, j]
         if kinds is None or kinds[j] is FeatureKind.CONTINUOUS:
-            column = discretize(column, bins)
-        scores.append(mutual_information(column, dataset.labels))
+            xi, nx = _compact_codes(discretize(column, bins))
+        else:
+            xi, nx = _dense_codes(column)
+        scores.append(_plug_in_mi(xi, nx, yi, ny))
     return FeatureScores(scores=tuple(scores), names=tuple(dataset.feature_names))
 
 

@@ -10,8 +10,10 @@ file was exported.
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
 column vectors.  Rows are read in blocks, and each column of a block is
-parsed by ``float()`` in bulk; a column holding a missing token or text that
-``float()`` rejects is parsed again cell by cell.  Each cell is checked
+parsed by ``float()`` in bulk, and if that fails, in bulk again with an
+unpadded missing token (``""``, ``NA``, ``na``, ``Na``, ``nA``) read as NaN;
+a column still holding text that ``float()`` rejects, a padded missing token
+among it, is parsed again cell by cell.  Each cell is checked
 against these rules, in this order, and the first it breaks is the reason
 its error gives:
 
@@ -27,12 +29,18 @@ The error names the first bad cell of the file: its 1-based data row
 order, which need not be the file's column order.  A field longer than
 ``csv``'s limit of 131,072 characters is refused with its row, and a row
 holding bytes that are not UTF-8 as a whole, in its place in file order.
+
+:func:`write_csv` writes each number as its ``repr`` and each missing cell
+as ``NA``, formatting each distinct value of a column block once.  Its data
+rows bypass ``csv.writer``, whose quoting none of those texts would need,
+so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import logging
 import math
@@ -61,6 +69,14 @@ log = logging.getLogger(__name__)
 
 #: Tokens (lowercased, stripped) that parse as a missing cell.
 MISSING_TOKENS = frozenset({"", "na"})
+
+#: Each missing token in every mix of case, unstripped, mapped to ``"nan"``
+#: for the bulk ``float()`` parse of a column block.
+_AS_NAN = {
+    "".join(chars): "nan"
+    for token in MISSING_TOKENS
+    for chars in itertools.product(*(c + c.upper() for c in token))
+}
 
 #: Alternate header spellings seen in the wild, mapped to schema names;
 #: used only for a header that names no schema column itself.  Public
@@ -277,10 +293,17 @@ def _float_or_none(text: str) -> float | None:
 def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
     """One column of a block as float64, and the index and reason of its first
     cell that breaks a rule of the module docstring (``None`` if none does)."""
+    # Two bulk passes, then cell by cell: the second reads the exact missing
+    # spellings as "nan", a dict lookup per cell that only a block that fails
+    # the first pays for; text float() rejects even then, such as " na ", is NaN.
+    n = len(texts)
     try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:  # a missing token, or text float() rejects: either is NaN here
-        values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
+        values = np.fromiter(map(float, texts), np.float64, n)
+    except ValueError:
+        try:
+            values = np.fromiter(map(float, map(_AS_NAN.get, texts, texts)), np.float64, n)
+        except ValueError:
+            values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
     finite = np.isfinite(values)
     firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
     for i in np.flatnonzero(~finite).tolist():  # rules 1-3
@@ -411,25 +434,31 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     return table
 
 
+def _cell_texts(block: np.ndarray) -> list[str]:
+    """The CSV text of each cell of a float64 block: its ``repr``, or ``NA``
+    for any NaN.  Cells are grouped by their bits, so ``-0.0`` stays apart
+    from ``0.0``, and each group's value is formatted once."""
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    texts = ["NA" if v != v else repr(v) for v in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def write_csv(table: CohortTable, path: str) -> None:
     """Write a table back to CSV; re-parsing yields an identical table.
 
     Missing cells are written as ``NA``; numbers use ``repr`` so values
-    survive the round trip bit-for-bit.
+    survive the round trip bit-for-bit.  Each block of a column formats
+    each of its distinct values once.  Only the header goes through
+    ``csv.writer``: a data row is its cells joined by commas and ended by
+    ``csv``'s ``\\r\\n``, the bytes ``csv.writer`` would write, since no
+    ``repr`` of a float and no ``NA`` holds a character it would quote.
     """
     vectors = [table.columns[n] for n in table.schema.names]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.schema.names)
+        csv.writer(handle).writerow(table.schema.names)
         for start in range(0, table.row_count, _BLOCK):
-            cols = []
-            for vector in vectors:
-                block = vector[start : start + _BLOCK]
-                cells = block.tolist()  # csv writes a float as its repr
-                for i in np.flatnonzero(np.isnan(block)).tolist():
-                    cells[i] = "NA"
-                cols.append(cells)
-            writer.writerows(zip(*cols))
+            cols = [_cell_texts(vector[start : start + _BLOCK]) for vector in vectors]
+            handle.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def read_json(path: str) -> Any:

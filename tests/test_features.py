@@ -1,9 +1,17 @@
-"""Mutual information, discretization, and top-k ranking."""
+"""Mutual information, discretization, and top-k ranking.
+
+``ref_mutual_information`` and ``ref_score_features`` are the versions that
+coded every column and the labels with ``np.unique`` and filled the joint
+table with ``np.add.at``, kept as the reference the scores must equal
+exactly.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chdml
 from chdml.errors import ConfigError, DataError
@@ -16,6 +24,33 @@ from chdml.features import (
 )
 from chdml.ingest import FeatureKind
 from chdml.preprocess import Dataset
+
+
+def ref_mutual_information(x_codes, y):
+    x = np.asarray(x_codes)
+    yv = np.asarray(y)
+    n = x.size
+    _, xi = np.unique(x, return_inverse=True)
+    _, yi = np.unique(yv, return_inverse=True)
+    joint = np.zeros((xi.max() + 1, yi.max() + 1), dtype=np.float64)
+    np.add.at(joint, (xi, yi), 1.0)
+    joint /= n
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nz = joint > 0
+    ratio = joint[nz] / np.outer(px, py)[nz]
+    total = float(np.sum(joint[nz] * np.log(ratio)))
+    return max(total, 0.0)
+
+
+def ref_score_features(dataset, bins=10, kinds=None):
+    scores = []
+    for j in range(dataset.n_features):
+        column = dataset.features[:, j]
+        if kinds is None or kinds[j] is FeatureKind.CONTINUOUS:
+            column = discretize(column, bins)
+        scores.append(ref_mutual_information(column, dataset.labels))
+    return tuple(scores)
 
 
 class TestMutualInformation:
@@ -114,6 +149,65 @@ class TestScoreFeatures:
         line = text.splitlines()[0]
         assert line.startswith("Feature 0: ")
         float(line.split(": ")[1])  # parses
+
+
+#: Few distinct values, one of them common: quantile cut points coincide,
+#: so :func:`discretize` leaves some bins empty.
+TIED = st.sampled_from([-2.5, 0.0, 1.0, 1.5, 3.0, 7.0, 7.25, 11.0, 40.0, 1e9, 5e-324, 2.0, 8.0])
+
+#: Binary and ordinal cells as floats, zeros of both signs among them.
+LOW_ARITY = {
+    FeatureKind.BINARY: st.sampled_from([0.0, -0.0, 1.0]),
+    FeatureKind.ORDINAL: st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 4.0]),
+}
+
+
+def column_of(kind, n):
+    if kind is FeatureKind.CONTINUOUS:
+        common = st.sampled_from([0.0, 7.0, 1.5])
+        return st.lists(common | TIED, min_size=n, max_size=n)
+    return st.lists(LOW_ARITY[kind], min_size=n, max_size=n)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 60))
+    kinds = draw(st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=5))
+    X = np.column_stack([draw(column_of(kind, n)) for kind in kinds])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Dataset(X, y), tuple(kinds), draw(st.integers(1, 6))
+
+
+class TestSameAsUniqueCoding:
+    """Scores equal those of coding each column with ``np.unique`` and
+    counting with ``np.add.at``, exactly."""
+
+    def test_tied_column_leaves_empty_bins(self):
+        column = [0.0] * 8 + [1.0, 2.0, 3.0, 7.0]
+        codes = discretize(column, bins=4)
+        assert np.unique(codes).size < codes.max() + 1
+        dataset = Dataset(np.array([column]).T, np.array([0, 1] * 6))
+        assert score_features(dataset, bins=4).scores == ref_score_features(dataset, bins=4)
+
+    @settings(max_examples=300)
+    @given(datasets())
+    def test_score_features(self, case):
+        dataset, kinds, bins = case
+        expected = ref_score_features(dataset, bins, kinds)
+        assert score_features(dataset, bins, kinds).scores == expected
+        assert score_features(dataset, bins).scores == ref_score_features(dataset, bins)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.lists(TIED | LOW_ARITY[FeatureKind.ORDINAL], min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )))
+    @example(case=([0.0, -0.0, 1.0, 0.0, 2.0, -0.0], [0, 1, 2, 2, 1, 0]))
+    def test_mutual_information_with_three_classes(self, case):
+        x, y = np.array(case[0]), np.array(case[1])
+        assert mutual_information(x, y) == ref_mutual_information(x, y)
+        codes = discretize(x, bins=3)
+        assert mutual_information(codes, y) == ref_mutual_information(codes, y)
 
 
 def scored(*values):

@@ -10,6 +10,7 @@ the same message.
 """
 
 import csv
+import itertools
 import math
 import re
 from unittest import mock
@@ -385,6 +386,30 @@ class TestBlockedRead:
         with pytest.raises(DataError, match="cannot parse 'nan'"):
             chdml.load_csv(write(tmp_path, mini_csv([ROW_D.replace(" na ", "nan")])))
 
+    def test_exact_missing_spellings_skip_the_per_cell_parse(self, tmp_path, monkeypatch):
+        table = random_table(2 * _BLOCK + 3, seed=7)
+        path = tmp_path / "spellings.csv"
+        chdml.write_csv(table, str(path))
+        spellings = itertools.cycle(["NA", "", "na", "Na", "nA"])
+        text = re.sub(r"(?<=,)NA(?=,)|^NA(?=,)", lambda m: next(spellings),
+                      path.read_text(encoding="utf-8"), flags=re.MULTILINE)
+        assert ",," in text and ",nA," in text
+        path.write_text(text, encoding="utf-8")
+        calls = []
+        real = ingest._float_or_none
+        monkeypatch.setattr(ingest, "_float_or_none", lambda t: calls.append(t) or real(t))
+        again = chdml.load_csv(str(path))
+        assert calls == []
+        assert again == table
+        for old, new, message in [
+            (",44,", ",NaN,", "column 'age': cannot parse 'NaN' (not a finite number)"),
+            (",0\n", ",nA\n", "column 'TenYearCHD': cannot parse 'nA' (target may not be missing)"),
+        ]:
+            rows = [ROW_B] * _BLOCK + [ROW_A.replace(old, new)]
+            with pytest.raises(DataError) as exc:
+                chdml.load_csv(write(tmp_path, mini_csv(rows)))
+            assert str(exc.value) == f"row {_BLOCK + 1}, {message}"
+
     def test_blank_lines_on_block_edges_skipped(self, tmp_path):
         blank = ["\n", " , ," + "," * 13 + "\n"]
         rows = [ROW_A, ROW_B, ROW_C, ROW_D] * (_BLOCK // 2)
@@ -505,7 +530,59 @@ class TestSameAsRowByRowReader:
         assert got == outcome(ref_load_csv, str(csv_path), schema)
 
 
+#: NaN with payloads other than numpy's default, and with the sign bit set.
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+#: Values whose text is easy to get wrong: both zeros, the least subnormal,
+#: the first that repr writes with an exponent, an inexact sum and an
+#: integer above 2**53.
+AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0, 2.0**53 + 2])
+
+
+def awkward_table(n, seed, infinite=False):
+    """A FRAMINGHAM table of ``n`` rows mixing AWKWARD values, NaN payloads
+    and, with ``infinite``, +-inf into its continuous columns; zeros of both
+    signs in its binary ones; one column the same in every row and one whose
+    rows all differ."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([AWKWARD, NAN_PAYLOADS, [np.inf, -np.inf] if infinite else []])
+    columns = {}
+    for col in FRAMINGHAM.columns:
+        if col.kind is FeatureKind.BINARY:
+            values = rng.choice([0.0, -0.0, 1.0], n)
+        elif col.kind is FeatureKind.ORDINAL:
+            values = rng.choice([1.0, 4.0, NAN_PAYLOADS[0]], n)
+        else:
+            values = rng.choice(pool, n)
+        columns[col.name] = values
+    columns["heartRate"] = np.full(n, 72.5)
+    columns["totChol"] = np.arange(n) * 0.1 - 5.0
+    columns["TenYearCHD"] = rng.choice([0.0, -0.0, 1.0], n)
+    return CohortTable(FRAMINGHAM, columns)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, any NaN equal to any other."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 class TestWriteCsv:
+    """``write_csv`` writes the bytes of the per-row writer."""
+
+    def assert_same_bytes(self, tmp_path, table):
+        chdml.write_csv(table, str(tmp_path / "new.csv"))
+        reference_write_csv(table, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def assert_reloads(self, tmp_path, table, schema=FRAMINGHAM):
+        again = chdml.load_csv(str(tmp_path / "new.csv"), schema)
+        for name in schema.names:
+            assert same_bits(again.column(name), table.column(name))
+
     @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_same_bytes_as_the_row_writer_and_round_trip(self, tmp_path, n):
         table = random_table(n, seed=n)
@@ -516,6 +593,53 @@ class TestWriteCsv:
         assert again == table
         for name in FRAMINGHAM.names:
             assert again.column(name).tobytes() == table.column(name).tobytes()
+
+    @pytest.mark.parametrize("block", [4, _BLOCK])
+    @pytest.mark.parametrize("n", [1, 4, 9, _BLOCK + 1])
+    def test_awkward_values(self, tmp_path, block, n):
+        table = awkward_table(n, seed=n)
+        if n > 4:
+            bits = np.concatenate(list(table.columns.values())).view(np.uint64)
+            assert np.isin(NAN_PAYLOADS.view(np.uint64), bits).all()
+        with mock.patch.object(ingest, "_BLOCK", block):
+            self.assert_same_bytes(tmp_path, table)
+            self.assert_reloads(tmp_path, table)
+            self.assert_same_bytes(tmp_path, awkward_table(n, seed=n, infinite=True))
+
+    def test_both_zeros_in_one_block(self, tmp_path):
+        table = awkward_table(4, seed=0)
+        cells = [-0.0, 0.0, 0.0, -0.0]
+        table = table.replace_columns({"age": np.array(cells), "sex": np.array(cells)})
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            chdml.write_csv(table, str(tmp_path / "new.csv"))
+        rows = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["-0.0", "-0.0"], ["0.0", "0.0"], ["0.0", "0.0"], ["-0.0", "-0.0"]
+        ]
+
+    def test_header_quoted_by_csv(self, tmp_path):
+        schema = Schema((
+            Column('dose, "mg"', FeatureKind.CONTINUOUS),
+            Column("y", FeatureKind.BINARY, target=True),
+        ))
+        table = CohortTable(schema, {'dose, "mg"': [1.5, np.nan, -0.0], "y": [0.0, 1.0, 1.0]})
+        self.assert_same_bytes(tmp_path, table)
+        text = (tmp_path / "new.csv").read_bytes()
+        assert text == b'"dose, ""mg""",y\r\n1.5,0.0\r\nNA,1.0\r\n-0.0,1.0\r\n'
+        self.assert_reloads(tmp_path, table, schema)
+
+    @settings(max_examples=60)
+    @given(st.lists(
+        st.floats(width=64) | st.sampled_from(AWKWARD.tolist() + NAN_PAYLOADS.tolist()),
+        min_size=1, max_size=13,
+    ))
+    def test_any_floats(self, tmp_path_factory, values):
+        tmp_path = tmp_path_factory.mktemp("floats")
+        schema = Schema((Column("x", FeatureKind.CONTINUOUS),
+                         Column("y", FeatureKind.BINARY, target=True)))
+        table = CohortTable(schema, {"x": values, "y": np.zeros(len(values))})
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            self.assert_same_bytes(tmp_path, table)
 
 
 class TestCohortTable:
