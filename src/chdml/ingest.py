@@ -10,10 +10,8 @@ file was exported.
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
 column vectors.  Rows are read in blocks, and each column of a block is
-parsed by ``float()`` in bulk, and if that fails, in bulk again with an
-unpadded missing token (``""``, ``NA``, ``na``, ``Na``, ``nA``) read as NaN;
-a column still holding text that ``float()`` rejects, a padded missing token
-among it, is parsed again cell by cell.  Each cell is checked
+parsed by ``float()`` in bulk; a column holding a missing token or text that
+``float()`` rejects is parsed again cell by cell.  Each cell is checked
 against these rules, in this order, and the first it breaks is the reason
 its error gives:
 
@@ -29,18 +27,12 @@ The error names the first bad cell of the file: its 1-based data row
 order, which need not be the file's column order.  A field longer than
 ``csv``'s limit of 131,072 characters is refused with its row, and a row
 holding bytes that are not UTF-8 as a whole, in its place in file order.
-
-:func:`write_csv` writes each number as its ``repr`` and each missing cell
-as ``NA``, formatting each distinct value of a column block once.  Its data
-rows bypass ``csv.writer``, whose quoting none of those texts would need,
-so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import json
 import logging
 import math
@@ -69,14 +61,6 @@ log = logging.getLogger(__name__)
 
 #: Tokens (lowercased, stripped) that parse as a missing cell.
 MISSING_TOKENS = frozenset({"", "na"})
-
-#: Each missing token in every mix of case, unstripped, mapped to ``"nan"``
-#: for the bulk ``float()`` parse of a column block.
-_AS_NAN = {
-    "".join(chars): "nan"
-    for token in MISSING_TOKENS
-    for chars in itertools.product(*(c + c.upper() for c in token))
-}
 
 #: Alternate header spellings seen in the wild, mapped to schema names;
 #: used only for a header that names no schema column itself.  Public
@@ -293,17 +277,10 @@ def _float_or_none(text: str) -> float | None:
 def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
     """One column of a block as float64, and the index and reason of its first
     cell that breaks a rule of the module docstring (``None`` if none does)."""
-    # Two bulk passes, then cell by cell: the second reads the exact missing
-    # spellings as "nan", a dict lookup per cell that only a block that fails
-    # the first pays for; text float() rejects even then, such as " na ", is NaN.
-    n = len(texts)
     try:
-        values = np.fromiter(map(float, texts), np.float64, n)
-    except ValueError:
-        try:
-            values = np.fromiter(map(float, map(_AS_NAN.get, texts, texts)), np.float64, n)
-        except ValueError:
-            values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:  # a missing token, or text float() rejects: either is NaN here
+        values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
     finite = np.isfinite(values)
     firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
     for i in np.flatnonzero(~finite).tolist():  # rules 1-3

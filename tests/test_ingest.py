@@ -10,7 +10,6 @@ the same message.
 """
 
 import csv
-import itertools
 import math
 import re
 from unittest import mock
@@ -385,30 +384,6 @@ class TestBlockedRead:
             assert math.isnan(table.column(name)[1])
         with pytest.raises(DataError, match="cannot parse 'nan'"):
             chdml.load_csv(write(tmp_path, mini_csv([ROW_D.replace(" na ", "nan")])))
-
-    def test_exact_missing_spellings_skip_the_per_cell_parse(self, tmp_path, monkeypatch):
-        table = random_table(2 * _BLOCK + 3, seed=7)
-        path = tmp_path / "spellings.csv"
-        chdml.write_csv(table, str(path))
-        spellings = itertools.cycle(["NA", "", "na", "Na", "nA"])
-        text = re.sub(r"(?<=,)NA(?=,)|^NA(?=,)", lambda m: next(spellings),
-                      path.read_text(encoding="utf-8"), flags=re.MULTILINE)
-        assert ",," in text and ",nA," in text
-        path.write_text(text, encoding="utf-8")
-        calls = []
-        real = ingest._float_or_none
-        monkeypatch.setattr(ingest, "_float_or_none", lambda t: calls.append(t) or real(t))
-        again = chdml.load_csv(str(path))
-        assert calls == []
-        assert again == table
-        for old, new, message in [
-            (",44,", ",NaN,", "column 'age': cannot parse 'NaN' (not a finite number)"),
-            (",0\n", ",nA\n", "column 'TenYearCHD': cannot parse 'nA' (target may not be missing)"),
-        ]:
-            rows = [ROW_B] * _BLOCK + [ROW_A.replace(old, new)]
-            with pytest.raises(DataError) as exc:
-                chdml.load_csv(write(tmp_path, mini_csv(rows)))
-            assert str(exc.value) == f"row {_BLOCK + 1}, {message}"
 
     def test_blank_lines_on_block_edges_skipped(self, tmp_path):
         blank = ["\n", " , ," + "," * 13 + "\n"]
