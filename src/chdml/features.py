@@ -144,8 +144,7 @@ def score_features(
         raise DataError("kinds must have one entry per feature")
     yi, ny = _dense_codes(dataset.labels)
     scores = []
-    for j in range(dataset.n_features):
-        column = dataset.features[:, j]
+    for j, column in enumerate(np.ascontiguousarray(dataset.features.T)):
         if kinds is None or kinds[j] is FeatureKind.CONTINUOUS:
             xi, nx = _compact_codes(discretize(column, bins))
         else:

@@ -9,11 +9,14 @@ file was exported.
 
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
-column vectors.  Rows are read in blocks, and each column of a block is
-parsed by ``float()`` in bulk; a column holding a missing token or text that
-``float()`` rejects is parsed again cell by cell.  Each cell is checked
-against these rules, in this order, and the first it breaks is the reason
-its error gives:
+column vectors.  Rows are read in blocks of lines.  A block that is plain
+(see :func:`_plain_columns`) is cut into cells by splitting its text; from
+the first block that is not, the rest of the file is read by ``csv.reader``,
+which alone reads quoted fields, bare carriage returns and non-ASCII text.
+Each column of a block is parsed by ``float()`` in bulk; a column holding a
+missing token or text that ``float()`` rejects is parsed again cell by
+cell.  Each cell is checked against these rules, in this order, and the
+first it breaks is the reason its error gives:
 
 1. a missing cell in the target column: ``target may not be missing``;
 2. text that ``float()`` rejects: no reason;
@@ -33,11 +36,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,6 +73,9 @@ HEADER_ALIASES: Mapping[str, str] = {"male": "sex"}
 
 #: Rows that :func:`load_csv` parses, and :func:`write_csv` formats, at a time.
 _BLOCK = 8192
+
+#: The characters a blank line holds: commas and ASCII whitespace.
+_BLANK = "," + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 class FeatureKind(enum.Enum):
@@ -316,15 +323,17 @@ def _refuse_undecodable(row: list[str]) -> None:
 
 
 def _parse_block(
-    rows: list[list[str]], numbers: list[int], schema: Schema, positions: list[int]
+    file_columns: Sequence[Sequence[str]],
+    numbers: Sequence[int],
+    schema: Schema,
+    positions: list[int],
 ) -> list[np.ndarray]:
-    """Parse a block of rows into one float64 vector per schema column, or
-    raise for its first bad cell: the first row that has one, and in it the
-    first bad column in schema order.  ``float()`` rejects a cell with bytes
-    that are not UTF-8, so that row is the first to hold any; it raises
-    ``UnicodeDecodeError`` instead."""
+    """Parse a block, given as its cells by file column, into one float64
+    vector per schema column, or raise for its first bad cell: the first row
+    that has one, and in it the first bad column in schema order.
+    ``float()`` rejects a cell with bytes that are not UTF-8, so that row is
+    the first to hold any; it raises ``UnicodeDecodeError`` instead."""
     columns, problems = [], []
-    file_columns = list(zip(*rows))
     for k, (col, pos) in enumerate(zip(schema.columns, positions)):
         values, problem = _column_values(file_columns[pos], col)
         columns.append(values)
@@ -332,19 +341,69 @@ def _parse_block(
             problems.append((problem[0], k, problem[1]))
     if problems:
         i, k, reason = min(problems)
-        _refuse_undecodable(rows[i])
+        _refuse_undecodable([cells[i] for cells in file_columns])
         detail = f" ({reason})" if reason else ""
         raise DataError(
             f"row {numbers[i]}, column {schema.columns[k].name!r}: "
-            f"cannot parse {rows[i][positions[k]]!r}{detail}"
+            f"cannot parse {file_columns[positions[k]][i]!r}{detail}"
         )
     return columns
 
 
+def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """Cut a block of lines into its cells by file column, or return ``None``
+    if the block is not plain.  A block is plain when all of these hold, so
+    that each line is one row and its cells are what ``csv.reader`` gives:
+
+    - its text is ASCII, so it holds no byte that is not UTF-8 (decoded to a
+      surrogate) and no whitespace other than the ASCII kind;
+    - it holds no ``"`` and no NUL (``csv`` before Python 3.11 refuses NUL);
+    - every ``\\r`` belongs to a ``\\r\\n`` line end;
+    - every line holds exactly ``width - 1`` commas;
+    - no line is blank, holding only commas and whitespace
+      (:func:`_row_blocks` skips such rows);
+    - no line, and so no field, is longer than ``csv.field_size_limit()``.
+    """
+    text = "".join(lines).replace("\r\n", "\n")
+    if not (
+        text.isascii()
+        and '"' not in text
+        and "\0" not in text
+        and "\r" not in text
+        and set(map(str.count, lines, itertools.repeat(","))) == {width - 1}
+        and all(map(str.lstrip, lines, itertools.repeat(_BLANK)))
+        and max(map(len, lines)) <= csv.field_size_limit()
+    ):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    stop = len(lines) * width  # a final line end leaves one more, empty, cell
+    return [cells[pos:stop:width] for pos in range(width)]
+
+
+def _column_blocks(
+    handle: IO[str], width: int, path: str
+) -> Iterator[tuple[Sequence[Sequence[str]], Sequence[int]]]:
+    """Yield ``(cells by file column, row numbers)`` for the data rows after
+    the header, a block of up to :data:`_BLOCK` lines at a time.  Plain
+    blocks are split from their text; from the first other block on, the
+    lines go through ``csv.reader`` and :func:`_row_blocks`."""
+    number = 0  # rows read so far
+    while lines := list(itertools.islice(handle, _BLOCK)):
+        columns = _plain_columns(lines, width)
+        if columns is None:
+            reader = csv.reader(itertools.chain(lines, handle))
+            for rows, numbers in _row_blocks(reader, width, path, number):
+                yield list(zip(*rows)), numbers
+            return
+        yield columns, range(number + 1, number + len(lines) + 1)
+        number += len(lines)
+
+
 def _row_blocks(
-    reader: Iterator[list[str]], width: int, path: str
+    reader: Iterator[list[str]], width: int, path: str, before: int
 ) -> Iterator[tuple[list[list[str]], list[int]]]:
-    """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows.
+    """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows,
+    numbering rows from ``before + 1``.
 
     A row with the wrong field count or an over-long field ends the current
     block early: the block is yielded, so that its cells are checked and an
@@ -354,9 +413,9 @@ def _row_blocks(
     """
     rows: list[list[str]] = []
     numbers: list[int] = []
-    number = 0
+    number = before
     try:
-        for number, row in enumerate(reader, start=1):
+        for number, row in enumerate(reader, start=before + 1):
             if not any(map(str.strip, row)):
                 continue  # ignore blank lines
             if len(row) != width:
@@ -388,18 +447,17 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     parts: list[list[np.ndarray]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-            reader = csv.reader(handle)
             try:
-                header = next(reader)
+                header = next(csv.reader(handle))
             except StopIteration:
                 raise DataError(f"{path}: file is empty (no header row)") from None
             except csv.Error as exc:
                 raise DataError(f"{path}: header row: {exc}") from None
             _refuse_undecodable(header)
             positions = _match_header(header, schema)
-            for rows, numbers in _row_blocks(reader, len(header), path):
-                if rows:
-                    parts.append(_parse_block(rows, numbers, schema, positions))
+            for file_columns, numbers in _column_blocks(handle, len(header), path):
+                if numbers:
+                    parts.append(_parse_block(file_columns, numbers, schema, positions))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     columns = {

@@ -463,6 +463,41 @@ def cohort_files(draw, counts, block):
     return schema, ",".join(header) + "\n" + "".join(lines)
 
 
+#: Cells that only ``csv.reader`` reads: quoted (one of them across a line
+#: end), holding a NUL, or not ASCII (float() reads the first two of those).
+LINE_CELLS = ['"1"', '"0\n"', '" na "', '"x"""', "1\x00", "\u00a01", "\uff11", "\u00e9"]
+
+
+@st.composite
+def line_files(draw, counts, block):
+    """cohort_files text with line-level edits near block edges: cells from
+    LINE_CELLS, blank lines of commas and whitespace, CRLF or bare-CR line
+    ends, and perhaps no final line end."""
+    schema, text = draw(cohort_files(counts, block))
+    width = len(schema.columns)
+    lines = text.split("\n")[:-1]  # the header, then one line per data row
+    edges = range(1, len(lines) + block, block)
+    near = st.sampled_from(
+        sorted({i for b in edges for i in range(b - 2, b + 2) if 1 <= i < len(lines)})
+    )
+    edits = st.tuples(near, st.integers(0, width - 1), st.sampled_from(LINE_CELLS))
+    for i, c, cell in draw(st.lists(edits, max_size=2)):
+        cells = lines[i].split(",")
+        if len(cells) == width:
+            cells[c] = cell
+            lines[i] = ",".join(cells)
+    blanks = st.tuples(near, st.sampled_from(["", " \t", "\u00a0"]), st.booleans())
+    for i, space, every_cell in draw(st.lists(blanks, max_size=2)):
+        lines.insert(i, ",".join([space] * width) if every_cell else space)
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    for i, end in draw(st.lists(st.tuples(near, st.sampled_from(["\r", "\r\n"])), max_size=2)):
+        if i < len(ends):
+            ends[i] = end
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return schema, "".join(map(str.__add__, lines, ends))
+
+
 def outcome(load, path, schema):
     """The columns' bits, or the error message."""
     try:
@@ -503,6 +538,93 @@ class TestSameAsRowByRowReader:
         csv_path.write_text(text, encoding="utf-8")
         got = outcome(chdml.load_csv, str(csv_path), schema)
         assert got == outcome(ref_load_csv, str(csv_path), schema)
+
+
+WIDE_ROWS = "flag,count,level,grade,x,y\n" + "1,1,1,1,0,0\n" * 3
+
+
+class TestLineLevelInput:
+    """Line ends, quotes, blank lines, NULs and text that is not ASCII near
+    block edges are read as the row-by-row reader read them."""
+
+    @settings(max_examples=300)
+    @given(line_files(st.integers(1, 14), block=4))
+    # a quoted cell across the first block's edge, then a bare CR
+    @example(case=(WIDE, WIDE_ROWS + '1,1,1,1,"0\n",0\n1,1,1,1,0,0\r1,1,1,1,x,0\n'))
+    # a bare CR after the first block
+    @example(case=(WIDE, WIDE_ROWS + "1,1,1,1,0,0\n1,1,1,1,0,0\r1,1,1,1,x,0\n"))
+    # a blank line of commas and whitespace inside a block
+    @example(case=(WIDE, WIDE_ROWS + " , ,\t, , ,\n1,1,1,1,x,0\n"))
+    def test_small_blocks(self, csv_path, case):
+        schema, text = case
+        csv_path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            got = outcome(chdml.load_csv, str(csv_path), schema)
+        assert got == outcome(ref_load_csv, str(csv_path), schema)
+
+    @settings(max_examples=8)
+    @given(line_files(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 3]), block=_BLOCK))
+    def test_full_blocks(self, csv_path, case):
+        schema, text = case
+        csv_path.write_bytes(text.encode("utf-8"))
+        got = outcome(chdml.load_csv, str(csv_path), schema)
+        assert got == outcome(ref_load_csv, str(csv_path), schema)
+
+    @pytest.mark.parametrize("row", [1, 4, 5, 9])
+    def test_over_long_field_near_block_edges(self, tmp_path, row):
+        rows = [ROW_A] * 10
+        rows[row - 1] = ROW_A.replace("44", "4" * 200_000, 1)
+        path = write(tmp_path, mini_csv(rows))
+        limit = csv.field_size_limit()
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            with pytest.raises(DataError) as exc:
+                chdml.load_csv(path)
+        assert str(exc.value) == f"{path}: row {row}: field larger than field limit ({limit})"
+
+    def test_over_long_line_of_short_fields(self, tmp_path):
+        padded = ",".join(" " * 9000 + cell for cell in ROW_A.split(","))
+        path = write(tmp_path, mini_csv([ROW_B] * 5 + [padded, ROW_C]))
+        assert len(padded) > csv.field_size_limit()
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            got = outcome(chdml.load_csv, path, FRAMINGHAM)
+        assert got == outcome(ref_load_csv, path, FRAMINGHAM)
+
+
+class TestPlainBlocks:
+    """Blocks of plain lines are split from their text, not read by csv.reader."""
+
+    @staticmethod
+    def load_counting_row_blocks(path):
+        calls = []
+        row_blocks = ingest._row_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return row_blocks(*args)
+
+        with mock.patch.object(ingest, "_row_blocks", counted):
+            return chdml.load_csv(path), len(calls)
+
+    def test_written_files_are_read_without_csv_reader(self, tmp_path):
+        table = random_table(2 * _BLOCK + 5, seed=3)
+        written = tmp_path / "crlf.csv"
+        chdml.write_csv(table, str(written))
+        crlf = written.read_bytes()
+        assert b"\r\n" in crlf and b",NA," in crlf
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(crlf.replace(b"\r\n", b"\n"))
+        for path in (written, lf):
+            assert self.load_counting_row_blocks(str(path)) == (table, 0)
+
+    def test_a_quote_in_a_late_row_hands_the_rest_to_csv_reader(self, tmp_path):
+        table = random_table(2 * _BLOCK + 5, seed=3)
+        path = tmp_path / "t.csv"
+        chdml.write_csv(table, str(path))
+        lines = path.read_bytes().split(b"\r\n")
+        first, rest = lines[-2].split(b",", 1)
+        lines[-2] = b'"' + first + b'",' + rest
+        path.write_bytes(b"\r\n".join(lines))
+        assert self.load_counting_row_blocks(str(path)) == (table, 1)
 
 
 #: NaN with payloads other than numpy's default, and with the sign bit set.
