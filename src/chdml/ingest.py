@@ -9,14 +9,17 @@ file was exported.
 
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
-column vectors.  Rows are read in blocks of lines.  A block that is plain
-(see :func:`_plain_columns`) is cut into cells by splitting its text; from
-the first block that is not, the rest of the file is read by ``csv.reader``,
-which alone reads quoted fields, bare carriage returns and non-ASCII text.
-Each column of a block is parsed by ``float()`` in bulk; a column holding a
-missing token or text that ``float()`` rejects is parsed again cell by
-cell.  Each cell is checked against these rules, in this order, and the
-first it breaks is the reason its error gives:
+column vectors.  Rows are read in blocks of lines.  A plain block is
+parsed by numpy's C parser in one call, with no Python string per cell
+(the exact rule is in the docstring of :func:`_plain_values`).  From the
+first block that is not plain, that numpy refuses, or that holds a cell
+breaking a rule below, the rest of the file is read by ``csv.reader``,
+with the same values and messages: it alone reads quoted fields, bare
+carriage returns and non-ASCII text, and it alone writes an error for a
+cell.  There each column of a block is parsed by ``float()`` in bulk; a
+column holding a missing token or text that ``float()`` rejects is parsed
+again cell by cell.  Each cell is checked against these rules, in this
+order, and the first it breaks is the reason its error gives:
 
 1. a missing cell in the target column: ``target may not be missing``;
 2. text that ``float()`` rejects: no reason;
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import itertools
 import json
 import logging
@@ -76,6 +80,9 @@ _BLOCK = 8192
 
 #: The characters a blank line holds: commas and ASCII whitespace.
 _BLANK = "," + "".join(c for c in map(chr, range(128)) if c.isspace())
+
+#: The bytes a plain block's numbers, commas and line ends are made of.
+_NUMBER_BYTES = b"0123456789.+-eE,\n \t"
 
 
 class FeatureKind(enum.Enum):
@@ -281,6 +288,27 @@ def _float_or_none(text: str) -> float | None:
         return None
 
 
+def _kind_problem(
+    values: np.ndarray, finite: np.ndarray, col: Column
+) -> tuple[int, str] | None:
+    """The index and reason of the first finite cell of a column block that
+    breaks rule 4, 5 or 6 of the module docstring, or ``None``."""
+    rules = []  # (the finite cells each rule rejects, its reason)
+    if col.kind is FeatureKind.BINARY:
+        rules.append((finite & (values != 0.0) & (values != 1.0), "expected 0 or 1"))
+    if col.kind is FeatureKind.ORDINAL:
+        rules.append((finite & (values != np.trunc(values)), "expected an integer"))
+        # Python comparisons: numpy would round an int bound above 2**53
+        low = -math.inf if col.low is None else col.low
+        high = math.inf if col.high is None else col.high
+        present = values[finite]
+        if present.size and (float(present.min()) < low or float(present.max()) > high):
+            mask = finite & np.array([v < low or v > high for v in values.tolist()])
+            rules.append((mask, f"outside [{col.low}, {col.high}]"))
+    firsts = [(int(mask.argmax()), reason) for mask, reason in rules if mask.any()]
+    return min(firsts, key=lambda first: first[0], default=None)
+
+
 def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
     """One column of a block as float64, and the index and reason of its first
     cell that breaks a rule of the module docstring (``None`` if none does)."""
@@ -298,19 +326,9 @@ def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple
         if col.target:
             firsts.append((i, "target may not be missing"))
             break
-    rules = []  # rules 4-6: (the finite cells each rejects, its reason)
-    if col.kind is FeatureKind.BINARY:
-        rules.append((finite & (values != 0.0) & (values != 1.0), "expected 0 or 1"))
-    if col.kind is FeatureKind.ORDINAL:
-        rules.append((finite & (values != np.trunc(values)), "expected an integer"))
-        # Python comparisons: numpy would round an int bound above 2**53
-        low = -math.inf if col.low is None else col.low
-        high = math.inf if col.high is None else col.high
-        present = values[finite]
-        if present.size and (float(present.min()) < low or float(present.max()) > high):
-            mask = finite & np.array([v < low or v > high for v in values.tolist()])
-            rules.append((mask, f"outside [{col.low}, {col.high}]"))
-    firsts += [(int(mask.argmax()), reason) for mask, reason in rules if mask.any()]
+    kind = _kind_problem(values, finite, col)
+    if kind is not None:
+        firsts.append(kind)
     return values, min(firsts, key=lambda first: first[0], default=None)
 
 
@@ -350,52 +368,97 @@ def _parse_block(
     return columns
 
 
-def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
-    """Cut a block of lines into its cells by file column, or return ``None``
-    if the block is not plain.  A block is plain when all of these hold, so
-    that each line is one row and its cells are what ``csv.reader`` gives:
+def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
+    """Parse a block of lines into a ``(rows, width)`` float64 array in one
+    call of numpy's C parser, with each ``NA`` cell read as NaN, or return
+    ``None`` if the block is not plain.  A block is plain when all of these
+    hold:
 
-    - its text is ASCII, so it holds no byte that is not UTF-8 (decoded to a
-      surrogate) and no whitespace other than the ASCII kind;
-    - it holds no ``"`` and no NUL (``csv`` before Python 3.11 refuses NUL);
-    - every ``\\r`` belongs to a ``\\r\\n`` line end;
-    - every line holds exactly ``width - 1`` commas;
-    - no line is blank, holding only commas and whitespace
-      (:func:`_row_blocks` skips such rows);
-    - no line, and so no field, is longer than ``csv.field_size_limit()``.
+    - its text is ASCII, and no line is longer than
+      ``csv.field_size_limit()``;
+    - every line holds exactly ``width - 1`` commas, and no line is blank,
+      holding only commas and whitespace (:func:`_row_blocks` skips such
+      rows);
+    - it holds no lowercase ``n`` and no ``+N`` or ``-N``;
+    - once ``\\r\\n`` is read as ``\\n`` and each ``NA`` as ``nan``, deleting
+      digits, ``.+-eE``, commas, line ends, spaces and tabs leaves only
+      repeats of ``nan``;
+    - ``np.loadtxt`` raises nothing, and returns one row of ``width``
+      values per line.
+
+    So each line is one row whose cells are what ``csv.reader`` gives: the
+    text holds no quote, no NUL and no bare ``\\r``.  With no lowercase
+    ``n`` before the mapping, each ``nan`` after it was an ``NA``, and the
+    only other letters are ``e`` and ``E``.  numpy reads a cell as NaN only
+    if it spells ``nan`` in some case, perhaps padded or signed, so with no
+    ``+N`` or ``-N`` the NaN cells are the ``NA`` cells, perhaps padded: the
+    missing cells.  numpy refuses an empty cell, and reads any other cell
+    as ``float()`` reads it stripped, bit for bit, or refuses it (``1_0``),
+    so a plain block holds the values a cell-by-cell read would give.
     """
     text = "".join(lines).replace("\r\n", "\n")
     if not (
         text.isascii()
-        and '"' not in text
-        and "\0" not in text
-        and "\r" not in text
+        and "n" not in text
+        and "+N" not in text
+        and "-N" not in text
         and set(map(str.count, lines, itertools.repeat(","))) == {width - 1}
         and all(map(str.lstrip, lines, itertools.repeat(_BLANK)))
         and max(map(len, lines)) <= csv.field_size_limit()
     ):
         return None
-    cells = text.replace("\n", ",").split(",")
-    stop = len(lines) * width  # a final line end leaves one more, empty, cell
-    return [cells[pos:stop:width] for pos in range(width)]
+    text = text.replace("NA", "nan")
+    rest = text.encode("ascii").translate(None, _NUMBER_BYTES)
+    if rest != b"nan" * (len(rest) // 3):
+        return None
+    try:
+        values = np.loadtxt(
+            io.StringIO(text), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+        )
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), width) else None
+
+
+def _plain_columns(
+    values: np.ndarray, schema: Schema, positions: list[int]
+) -> list[np.ndarray] | None:
+    """The columns of a parsed plain block in schema order, or ``None`` if a
+    cell breaks rule 1, 3, 4, 5 or 6 of the module docstring (its only NaN
+    cells are missing cells, so it breaks no other)."""
+    if np.isinf(values).any():
+        return None
+    finite = ~np.isnan(values)
+    columns = []
+    for col, pos in zip(schema.columns, positions):
+        column, present = values[:, pos], finite[:, pos]
+        if col.target and not present.all():
+            return None
+        if _kind_problem(column, present, col) is not None:
+            return None
+        columns.append(column)
+    return columns
 
 
 def _column_blocks(
-    handle: IO[str], width: int, path: str
-) -> Iterator[tuple[Sequence[Sequence[str]], Sequence[int]]]:
-    """Yield ``(cells by file column, row numbers)`` for the data rows after
-    the header, a block of up to :data:`_BLOCK` lines at a time.  Plain
-    blocks are split from their text; from the first other block on, the
-    lines go through ``csv.reader`` and :func:`_row_blocks`."""
+    handle: IO[str], width: int, path: str, schema: Schema, positions: list[int]
+) -> Iterator[list[np.ndarray]]:
+    """Yield the columns, in schema order, of the data rows after the header,
+    a block of up to :data:`_BLOCK` lines at a time, or raise for the first
+    bad cell or row.  Plain blocks whose cells break no rule are parsed by
+    :func:`_plain_values`; from the first other block on, the lines go
+    through ``csv.reader``, :func:`_row_blocks` and :func:`_parse_block`."""
     number = 0  # rows read so far
     while lines := list(itertools.islice(handle, _BLOCK)):
-        columns = _plain_columns(lines, width)
+        values = _plain_values(lines, width)
+        columns = None if values is None else _plain_columns(values, schema, positions)
         if columns is None:
             reader = csv.reader(itertools.chain(lines, handle))
             for rows, numbers in _row_blocks(reader, width, path, number):
-                yield list(zip(*rows)), numbers
+                if numbers:
+                    yield _parse_block(list(zip(*rows)), numbers, schema, positions)
             return
-        yield columns, range(number + 1, number + len(lines) + 1)
+        yield columns
         number += len(lines)
 
 
@@ -444,7 +507,6 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     over-long field, or for the first row (or header) that is not UTF-8
     text.
     """
-    parts: list[list[np.ndarray]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
             try:
@@ -455,9 +517,7 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
                 raise DataError(f"{path}: header row: {exc}") from None
             _refuse_undecodable(header)
             positions = _match_header(header, schema)
-            for file_columns, numbers in _column_blocks(handle, len(header), path):
-                if numbers:
-                    parts.append(_parse_block(file_columns, numbers, schema, positions))
+            parts = list(_column_blocks(handle, len(header), path, schema, positions))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     columns = {

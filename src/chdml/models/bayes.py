@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..preprocess import Dataset
 from .base import ClassifierSpec
 
@@ -40,13 +42,20 @@ def fit(spec: ClassifierSpec, train: Dataset) -> NaiveBayesModel:
 
     Class variances are floored at ``var_floor_ratio`` times the largest
     per-feature variance of the whole training matrix, so constant
-    within-class features cannot produce a zero variance.
+    within-class features cannot produce a zero variance.  A ratio so large
+    that ``2 * pi`` times the floor is not finite, so that no score would
+    be, is refused with a :class:`ConfigError`.
     """
     floor_ratio = spec.resolved()["var_floor_ratio"]
 
     X, y = train.features, train.labels
     n = len(y)
     floor = floor_ratio * float(X.var(axis=0).max())
+    if not math.isfinite(2.0 * math.pi * floor):
+        raise ConfigError(
+            f"NB hyperparameter 'var_floor_ratio' {floor_ratio!r} is too large for "
+            "this training data: the variance floor it sets is not finite"
+        )
     means = np.empty((2, train.n_features))
     variances = np.empty((2, train.n_features))
     log_priors = np.empty(2)

@@ -29,10 +29,12 @@ the order of the plain expression.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..preprocess import Dataset, sq_distance_chunks
 from .base import ClassifierSpec
 
@@ -212,6 +214,14 @@ def fit(spec: ClassifierSpec, train: Dataset) -> SvmModel:
     if gamma == 0.0:
         mean_var = float(X.var(axis=0).mean())
         gamma = 1.0 / (X.shape[1] * mean_var) if mean_var > 0.0 else 1.0 / X.shape[1]
+    # no squared distance between two training rows exceeds the summed
+    # squared feature ranges, so no kernel exponent overflows
+    spread = float(((X.max(axis=0) - X.min(axis=0)) ** 2).sum())
+    if not math.isfinite(gamma * spread):
+        raise ConfigError(
+            f"SVM hyperparameter 'gamma' {gamma!r} is too large for this training "
+            "data: its product with the summed squared feature ranges is not finite"
+        )
 
     solver = _Smo(X, y, C=C, gamma=gamma, tol=tol)
     converged = solver.solve(max_sweeps=10 * train.n_rows)

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through main()."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,28 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: algorithms[1] ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ({"algorithm": "NB", "hyperparameters": {"var_floor_ratio": 1e308}},
+             "var_floor_ratio"),
+            ({"algorithm": "SVM", "hyperparameters": {"gamma": 1e308}}, "gamma"),
+        ],
+        ids=["huge-var-floor-ratio", "huge-gamma"],
+    )
+    def test_hyperparameter_too_large_for_the_data_is_one_line(
+        self, tmp_path, capsys, entry, name
+    ):
+        config = with_config(tmp_path, algorithms=[entry])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", config, "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert not caught  # numpy warned of overflow before the check
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {entry['algorithm']} hyperparameter {name!r} ")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(

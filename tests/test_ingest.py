@@ -9,7 +9,9 @@ and the blocked reader must return the same arrays bit for bit or raise
 the same message.
 """
 
+import contextlib
 import csv
+import functools
 import math
 import re
 from unittest import mock
@@ -441,10 +443,22 @@ VALID = {
 }
 
 
+#: Cells numpy's parser might read otherwise than the row-by-row reader:
+#: signed, doubled or lowercase missing tokens, nan and inf, an overflow and
+#: an underflow, an underscore, control characters that strip() removes,
+#: halves of a number, and empty, padded and whitespace-only cells.
+NUMBER_CELLS = [
+    "NA", " NA\t", "+NA", "-NA", " +NA", "+ NA", "NANA", "NAN", "N", "1NA", "nan", "NaN",
+    "inf", "-inf", "1e400", "1e-400", "1_0", "\x0b1", "\x1c1", "1.", ".5", ".", "e5", "1e",
+    "1e5e", "", " ", "\t", " na ", "Na", " 1\t", "-0", "+1", "1E5",
+]
+
+
 @st.composite
-def cohort_files(draw, counts, block):
-    """CSV text with a shuffled header, edits from CELLS near block edges,
-    and perhaps a blank line and a row with the wrong field count."""
+def cohort_files(draw, counts, block, cells=CELLS, odd_lines=True):
+    """CSV text with a shuffled header, edits from ``cells`` near block
+    edges, and, with ``odd_lines``, perhaps a blank line and a row with the
+    wrong field count."""
     schema = draw(st.sampled_from([FRAMINGHAM, WIDE]))
     header = draw(st.permutations(schema.names))
     n = draw(counts)
@@ -453,11 +467,11 @@ def cohort_files(draw, counts, block):
     edges = range(0, n + block, block)
     near = sorted({0, n - 1} | {r for b in edges for r in range(b - 2, b + 2) if 0 <= r < n})
     columns = st.integers(0, len(header) - 1)
-    edits = st.tuples(st.sampled_from(near), columns, st.sampled_from(CELLS))
+    edits = st.tuples(st.sampled_from(near), columns, st.sampled_from(cells))
     for r, c, cell in draw(st.lists(edits, max_size=6)):
         grid[r][c] = cell
     lines = [",".join(row) + "\n" for row in grid]
-    for extra in ("\n", "1,2,3\n"):
+    for extra in ("\n", "1,2,3\n") if odd_lines else ():
         if draw(st.integers(0, 3)) == 0:
             lines.insert(draw(st.sampled_from(near)), extra)
     return schema, ",".join(header) + "\n" + "".join(lines)
@@ -512,11 +526,19 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("differential") / "t.csv"
 
 
-class TestSameAsRowByRowReader:
-    """The blocked reader returns what the row-by-row reader did."""
+def some_files(counts, block):
+    """cohort_files with CELLS, or with NUMBER_CELLS in otherwise plain blocks."""
+    return cohort_files(counts, block) | cohort_files(
+        counts, block, cells=NUMBER_CELLS, odd_lines=False
+    )
 
-    @settings(max_examples=500)
-    @given(cohort_files(st.integers(1, 14), block=4))
+
+class TestSameAsRowByRowReader:
+    """The blocked reader returns what the row-by-row reader did, whether
+    numpy's parser or csv.reader reads a block."""
+
+    @settings(max_examples=900)
+    @given(some_files(st.integers(1, 14), block=4))
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740993,1,-5,0,0\n"))  # to 2**53
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,9007199254740995,1,3,0,0\n"))  # 2**53 + 4
     # a column block with a missing token and a rejected cell, an inf, or both
@@ -524,6 +546,11 @@ class TestSameAsRowByRowReader:
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,NA,0\n1,1,1,1,inf,0\n1,1,1,1,x,0\n"))
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1, na ,0\n1,1,1,1,\x1cNA,0\n"))
     @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,x,0\n1,1,1,1,NA,NA\n"))
+    # numpy reads +nan and -nan as NaN; the row-by-row reader refuses +NA
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,+NA,0\n"))
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,-7,0\n1,1,1,1, -NA,0\n"))
+    # numpy reads NaN, which holds no lowercase n, as NaN
+    @example(case=(WIDE, "flag,count,level,grade,x,y\n1,1,1,1,NaN,0\n"))
     def test_small_blocks(self, csv_path, case):
         schema, text = case
         csv_path.write_text(text, encoding="utf-8")
@@ -531,8 +558,8 @@ class TestSameAsRowByRowReader:
             got = outcome(chdml.load_csv, str(csv_path), schema)
         assert got == outcome(ref_load_csv, str(csv_path), schema)
 
-    @settings(max_examples=8)
-    @given(cohort_files(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 3]), block=_BLOCK))
+    @settings(max_examples=14)
+    @given(some_files(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 3]), block=_BLOCK))
     def test_full_blocks(self, csv_path, case):
         schema, text = case
         csv_path.write_text(text, encoding="utf-8")
@@ -590,20 +617,55 @@ class TestLineLevelInput:
         assert got == outcome(ref_load_csv, path, FRAMINGHAM)
 
 
+@contextlib.contextmanager
+def counted_calls():
+    """Count the calls of ``_row_blocks``, one per hand-over to csv.reader,
+    and of ``_float_or_none``, one per cell parsed on its own."""
+    calls = {"_row_blocks": 0, "_float_or_none": 0}
+
+    def counted(name, real, *args):
+        calls[name] += 1
+        return real(*args)
+
+    with contextlib.ExitStack() as stack:
+        for name in calls:
+            wrapper = functools.partial(counted, name, getattr(ingest, name))
+            stack.enter_context(mock.patch.object(ingest, name, wrapper))
+        yield calls
+
+
+NO_CALLS = {"_row_blocks": 0, "_float_or_none": 0}
+
+#: Decimals of the continuous columns that the benchmark's cohorts do not
+#: write as integers.
+DECIMALS = {"sysBP": 1, "diaBP": 1, "BMI": 2}
+
+
+def cohort_shaped_text(n, seed):
+    """CSV text laid out like the benchmark's cohorts: a ``male`` header, LF
+    line ends, integer cells and one- or two-decimal ones, and ``NA`` cells
+    in the predictors."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for col in FRAMINGHAM.columns:
+        if col.kind is FeatureKind.CONTINUOUS:
+            spec = f".{DECIMALS.get(col.name, 0)}f"
+            texts = [format(v, spec) for v in rng.normal(100.0, 30.0, n).tolist()]
+        elif col.kind is FeatureKind.ORDINAL:
+            texts = list(map(str, rng.integers(1, 5, n).tolist()))
+        else:
+            texts = list(map(str, rng.integers(0, 2, n).tolist()))
+        if not col.target:
+            for i in np.flatnonzero(rng.random(n) < 0.05).tolist():
+                texts[i] = "NA"
+        columns.append(texts)
+    header = ("male",) + FRAMINGHAM.names[1:]
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
 class TestPlainBlocks:
-    """Blocks of plain lines are split from their text, not read by csv.reader."""
-
-    @staticmethod
-    def load_counting_row_blocks(path):
-        calls = []
-        row_blocks = ingest._row_blocks
-
-        def counted(*args):
-            calls.append(args)
-            return row_blocks(*args)
-
-        with mock.patch.object(ingest, "_row_blocks", counted):
-            return chdml.load_csv(path), len(calls)
+    """Plain blocks are parsed by numpy in one call: neither csv.reader nor
+    the per-cell parse reads them."""
 
     def test_written_files_are_read_without_csv_reader(self, tmp_path):
         table = random_table(2 * _BLOCK + 5, seed=3)
@@ -614,7 +676,18 @@ class TestPlainBlocks:
         lf = tmp_path / "lf.csv"
         lf.write_bytes(crlf.replace(b"\r\n", b"\n"))
         for path in (written, lf):
-            assert self.load_counting_row_blocks(str(path)) == (table, 0)
+            with counted_calls() as calls:
+                assert chdml.load_csv(str(path)) == table
+            assert calls == NO_CALLS
+
+    def test_cohort_shaped_file_is_read_without_csv_reader(self, tmp_path):
+        text = cohort_shaped_text(2 * _BLOCK + 5, seed=4)
+        assert ",NA," in text
+        path = write(tmp_path, text)
+        with counted_calls() as calls:
+            got = outcome(chdml.load_csv, path, FRAMINGHAM)
+        assert calls == NO_CALLS
+        assert got == outcome(ref_load_csv, path, FRAMINGHAM)
 
     def test_a_quote_in_a_late_row_hands_the_rest_to_csv_reader(self, tmp_path):
         table = random_table(2 * _BLOCK + 5, seed=3)
@@ -624,7 +697,31 @@ class TestPlainBlocks:
         first, rest = lines[-2].split(b",", 1)
         lines[-2] = b'"' + first + b'",' + rest
         path.write_bytes(b"\r\n".join(lines))
-        assert self.load_counting_row_blocks(str(path)) == (table, 1)
+        with counted_calls() as calls:
+            assert chdml.load_csv(str(path)) == table
+        assert calls["_row_blocks"] == 1
+
+    @pytest.mark.parametrize("cell", ["+NA", "1_0", " na "])
+    def test_a_cell_numpy_must_not_read_hands_the_rest_to_csv_reader(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        chdml.write_csv(random_table(2 * _BLOCK + 5, seed=3), str(path))
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[-3].split(b",")
+        cells[FRAMINGHAM.names.index("age")] = cell.encode()
+        lines[-3] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        with counted_calls() as calls:
+            got = outcome(chdml.load_csv, str(path), FRAMINGHAM)
+        assert calls["_row_blocks"] == 1
+        assert got == outcome(ref_load_csv, str(path), FRAMINGHAM)
+
+    @pytest.mark.parametrize("cell", [" " * 200_000 + "44", "0." + "0" * 200_000])
+    def test_over_long_field_that_numpy_reads_is_refused(self, tmp_path, cell):
+        path = write(tmp_path, mini_csv([ROW_A, ROW_A.replace("44", cell, 1)]))
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError) as exc:
+            chdml.load_csv(path)
+        assert str(exc.value) == f"{path}: row 2: field larger than field limit ({limit})"
 
 
 #: NaN with payloads other than numpy's default, and with the sign bit set.
@@ -676,7 +773,9 @@ class TestWriteCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def assert_reloads(self, tmp_path, table, schema=FRAMINGHAM):
-        again = chdml.load_csv(str(tmp_path / "new.csv"), schema)
+        with counted_calls() as calls:
+            again = chdml.load_csv(str(tmp_path / "new.csv"), schema)
+        assert calls == NO_CALLS  # numpy's parser read every block
         for name in schema.names:
             assert same_bits(again.column(name), table.column(name))
 
