@@ -140,11 +140,12 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
     """
     if k < 2:
         raise ConfigError("k must be at least 2")
+    classes = _class_indices(dataset.labels)
+    if min(cls_idx.size for cls_idx in classes) < k:  # before k lists are built
+        raise DataError(f"each class needs at least {k} rows for {k} folds")
     rng = generator(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls_idx in _class_indices(dataset.labels):
-        if cls_idx.size < k:
-            raise DataError(f"each class needs at least {k} rows for {k} folds")
+    for cls_idx in classes:
         shuffled = rng.permutation(cls_idx)
         for f in range(k):
             folds[f].append(shuffled[f::k])

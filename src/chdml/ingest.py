@@ -11,15 +11,13 @@ Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
 column vectors.  Rows are read in blocks of lines.  A plain block is
 parsed by numpy's C parser in one call, with no Python string per cell
-(the exact rule is in the docstring of :func:`_plain_values`).  From the
-first block that is not plain, that numpy refuses, or that holds a cell
-breaking a rule below, the rest of the file is read by ``csv.reader``,
-with the same values and messages: it alone reads quoted fields, bare
-carriage returns and non-ASCII text, and it alone writes an error for a
-cell.  There each column of a block is parsed by ``float()`` in bulk; a
-column holding a missing token or text that ``float()`` rejects is parsed
-again cell by cell.  Each cell is checked against these rules, in this
-order, and the first it breaks is the reason its error gives:
+(the rule is in the docstring of :func:`_plain_values`).  From the first
+block that is not plain or that holds a cell breaking a rule below, the
+rest of the file is read by ``csv.reader``, with the same values and
+messages: it alone reads quoted fields, bare carriage returns and
+non-ASCII text, and it alone writes an error for a cell.  Each cell is
+checked against these rules, in this order, and the first it breaks is
+the reason its error gives:
 
 1. a missing cell in the target column: ``target may not be missing``;
 2. text that ``float()`` rejects: no reason;
@@ -77,9 +75,6 @@ HEADER_ALIASES: Mapping[str, str] = {"male": "sex"}
 
 #: Rows that :func:`load_csv` parses, and :func:`write_csv` formats, at a time.
 _BLOCK = 8192
-
-#: The characters a blank line holds: commas and ASCII whitespace.
-_BLANK = "," + "".join(c for c in map(chr, range(128)) if c.isspace())
 
 #: The bytes a plain block's numbers, commas and line ends are made of.
 _NUMBER_BYTES = b"0123456789.+-eE,\n \t"
@@ -312,10 +307,8 @@ def _kind_problem(
 def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
     """One column of a block as float64, and the index and reason of its first
     cell that breaks a rule of the module docstring (``None`` if none does)."""
-    try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:  # a missing token, or text float() rejects: either is NaN here
-        values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
+    # a missing token, or text float() rejects: either is NaN here
+    values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
     finite = np.isfinite(values)
     firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
     for i in np.flatnonzero(~finite).tolist():  # rules 1-3
@@ -371,45 +364,42 @@ def _parse_block(
 def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     """Parse a block of lines into a ``(rows, width)`` float64 array in one
     call of numpy's C parser, with each ``NA`` cell read as NaN, or return
-    ``None`` if the block is not plain.  A block is plain when all of these
-    hold:
+    ``None`` if the block is not plain.  Once ``\\r\\n`` is read as
+    ``\\n``, a block is plain when all of these hold:
 
-    - its text is ASCII, and no line is longer than
-      ``csv.field_size_limit()``;
-    - every line holds exactly ``width - 1`` commas, and no line is blank,
-      holding only commas and whitespace (:func:`_row_blocks` skips such
-      rows);
-    - it holds no lowercase ``n`` and no ``+N`` or ``-N``;
-    - once ``\\r\\n`` is read as ``\\n`` and each ``NA`` as ``nan``, deleting
-      digits, ``.+-eE``, commas, line ends, spaces and tabs leaves only
-      repeats of ``nan``;
-    - ``np.loadtxt`` raises nothing, and returns one row of ``width``
-      values per line.
+    1. its text is not all whitespace;
+    2. it holds no ``+N`` or ``-N``;
+    3. no line is longer than ``csv.field_size_limit()``;
+    4. once each ``NA`` is read as ``nan``, deleting digits, ``.+-eE``,
+       commas, line ends, spaces and tabs from its UTF-8 bytes leaves one
+       ``nan`` per ``NA``;
+    5. ``np.loadtxt`` raises nothing, and returns one row of ``width``
+       values per line.
 
-    So each line is one row whose cells are what ``csv.reader`` gives: the
-    text holds no quote, no NUL and no bare ``\\r``.  With no lowercase
-    ``n`` before the mapping, each ``nan`` after it was an ``NA``, and the
-    only other letters are ``e`` and ``E``.  numpy reads a cell as NaN only
-    if it spells ``nan`` in some case, perhaps padded or signed, so with no
-    ``+N`` or ``-N`` the NaN cells are the ``NA`` cells, perhaps padded: the
-    missing cells.  numpy refuses an empty cell, and reads any other cell
-    as ``float()`` reads it stripped, bit for bit, or refuses it (``1_0``),
-    so a plain block holds the values a cell-by-cell read would give.
+    By 4, the text holds no quote, no NUL, no bare ``\\r`` and nothing
+    that is not ASCII, and its only letters are the ``NA`` cells' and
+    ``e`` and ``E``; so each line is one row whose cells are what
+    ``csv.reader`` gives.  numpy skips empty lines (1 keeps it from
+    warning of a block of them) and refuses an empty field or a changed
+    field count, so by 5 no line is blank and each has ``width`` cells.
+    numpy reads a cell as NaN only if it spells ``nan``, perhaps padded or
+    signed, so by 2 the NaN cells are the ``NA`` cells: the missing cells.
+    Any other cell numpy reads as ``float()`` reads it stripped, bit for
+    bit, or refuses (``1_0``), so a plain block holds the values a
+    cell-by-cell read would give.
     """
     text = "".join(lines).replace("\r\n", "\n")
-    if not (
-        text.isascii()
-        and "n" not in text
-        and "+N" not in text
-        and "-N" not in text
-        and set(map(str.count, lines, itertools.repeat(","))) == {width - 1}
-        and all(map(str.lstrip, lines, itertools.repeat(_BLANK)))
-        and max(map(len, lines)) <= csv.field_size_limit()
+    if (
+        text.isspace()
+        or "+N" in text
+        or "-N" in text
+        or max(map(len, lines)) > csv.field_size_limit()
     ):
         return None
+    missing = text.count("NA")
     text = text.replace("NA", "nan")
-    rest = text.encode("ascii").translate(None, _NUMBER_BYTES)
-    if rest != b"nan" * (len(rest) // 3):
+    rest = text.encode("utf-8", "surrogateescape").translate(None, _NUMBER_BYTES)
+    if rest != b"nan" * missing:
         return None
     try:
         values = np.loadtxt(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..preprocess import Dataset
 from .base import ClassifierSpec
 
@@ -89,16 +90,11 @@ class LogisticModel:
         return sigmoid(X @ self.weights + self.bias)
 
 
-def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:
-    hp = spec.resolved()
-    lam = hp["lambda"]
-    step0 = hp["step"]
-    max_iter = hp["max_iter"]
-    tol = hp["tol"]
-
-    X = train.features
-    y = train.labels.astype(np.float64)
-    w = np.zeros(train.n_features, dtype=np.float64)
+def _descend(
+    X: np.ndarray, y: np.ndarray, lam: float, step0: float, max_iter: int, tol: float
+) -> tuple[np.ndarray, float, bool]:
+    """Gradient descent from zero: the final ``(w, b, converged)``."""
+    w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
     margins = _margins(w, b, X)
     loss = nll_loss(w, b, X, y, lam, margins)
@@ -120,5 +116,24 @@ def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:
         else:
             break  # loss cannot be decreased further at any step size
         w, b, loss, margins = w_next, b_next, loss_next, margins_next
+    return w, b, converged
 
+
+def fit(spec: ClassifierSpec, train: Dataset) -> LogisticModel:
+    """Fit by gradient descent.  A ``step`` with which the descent
+    overflows, where numpy would warn and no halving of the step might
+    lower the loss, is refused with a :class:`ConfigError`; a fit that
+    does not overflow is unaffected."""
+    hp = spec.resolved()
+    y = train.labels.astype(np.float64)
+    try:
+        with np.errstate(over="raise"):  # set once per fit, not per iteration
+            w, b, converged = _descend(
+                train.features, y, hp["lambda"], hp["step"], hp["max_iter"], hp["tol"]
+            )
+    except FloatingPointError:
+        raise ConfigError(
+            f"LR hyperparameter 'step' {hp['step']!r} is too large for this training "
+            "data: a gradient step overflowed"
+        ) from None
     return LogisticModel(spec=spec, weights=w, bias=b, converged=converged)

@@ -191,6 +191,13 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_more_folds_than_rows_is_one_line(self, tmp_path, capsys):
+        config = with_config(tmp_path, cv_k=10**6, algorithms=["NB"])
+        code = main(["run", "--config", config, "--output", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "data error: each class needs at least 1000000 rows for 1000000 folds\n"
+
     @pytest.mark.parametrize(
         "kind, code, prefix",
         [("csv", 3, "data error: "), ("config", 2, "configuration error: "),
@@ -255,8 +262,9 @@ class TestExitCodes:
             ({"algorithm": "NB", "hyperparameters": {"var_floor_ratio": 1e308}},
              "var_floor_ratio"),
             ({"algorithm": "SVM", "hyperparameters": {"gamma": 1e308}}, "gamma"),
+            ({"algorithm": "LR", "hyperparameters": {"step": 1e308, "max_iter": 20}}, "step"),
         ],
-        ids=["huge-var-floor-ratio", "huge-gamma"],
+        ids=["huge-var-floor-ratio", "huge-gamma", "huge-step"],
     )
     def test_hyperparameter_too_large_for_the_data_is_one_line(
         self, tmp_path, capsys, entry, name

@@ -1,6 +1,7 @@
 """ROC analysis, stratified splitting, cross-validation, grid search."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestStratifiedKfold:
         y = np.array([0, 0, 0, 0, 0, 0, 1, 1])
         with pytest.raises(DataError, match="at least 3 rows for 3 folds"):
             stratified_kfold(Dataset(X, y), k=3, seed=0)
+
+    def test_huge_k_is_refused_before_its_folds_are_built(self):
+        data = two_blobs()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="at least 1000000 rows for 1000000 folds"):
+                stratified_kfold(data, k=10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a list per fold would take tens of MB
 
 
 class TestCrossValidate:

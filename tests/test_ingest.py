@@ -14,6 +14,7 @@ import csv
 import functools
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -513,12 +514,16 @@ def line_files(draw, counts, block):
 
 
 def outcome(load, path, schema):
-    """The columns' bits, or the error message."""
-    try:
-        table = load(path, schema)
-    except DataError as exc:
-        return str(exc)
-    return {name: table.column(name).view(np.int64).tolist() for name in schema.names}
+    """The columns' bits, or the error message; a warning fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load(path, schema)
+            got = {name: table.column(name).view(np.int64).tolist() for name in schema.names}
+        except DataError as exc:
+            got = str(exc)
+    assert [str(w.message) for w in caught] == []
+    return got
 
 
 @pytest.fixture(scope="module")
@@ -713,6 +718,27 @@ class TestPlainBlocks:
         with counted_calls() as calls:
             got = outcome(chdml.load_csv, str(path), FRAMINGHAM)
         assert calls["_row_blocks"] == 1
+        assert got == outcome(ref_load_csv, str(path), FRAMINGHAM)
+
+    #: Lines after a first block of four plain rows that numpy's parse must
+    #: not read, or must read as the row-by-row reader does, without a warning.
+    SECOND_BLOCKS = {
+        "blank-lines": b"\n\n\r\n",  # numpy would warn of a file with no data
+        "whitespace-lines": b" \t\n\n \n",
+        "comma-only-row": ROW_B.encode() + b"," * 15 + b"\n" + ROW_C.encode(),
+        "row-one-field-short": ROW_B.encode() + ROW_C.rsplit(",", 1)[0].encode() + b"\n",
+        "one-extra-field-in-every-row": ROW_B.replace("\n", ",1\n").encode() * 4,
+        "nan-and-NA": ROW_B.encode() + ROW_C.replace(",39,", ",nan,").encode(),
+        "arabic-indic-digit": ROW_B.encode() + ROW_C.replace("0,", "\u0661,", 1).encode(),
+        "byte-ff": ROW_B.encode() + ROW_C.replace(",39,", ",3\xff,").encode("latin-1"),
+    }
+
+    @pytest.mark.parametrize("second", SECOND_BLOCKS.values(), ids=SECOND_BLOCKS.keys())
+    def test_second_block_reads_as_row_by_row(self, tmp_path, second):
+        path = tmp_path / "t.csv"
+        path.write_bytes(mini_csv([ROW_A, ROW_B, ROW_C, ROW_A]).encode() + second)
+        with mock.patch.object(ingest, "_BLOCK", 4):
+            got = outcome(chdml.load_csv, str(path), FRAMINGHAM)
         assert got == outcome(ref_load_csv, str(path), FRAMINGHAM)
 
     @pytest.mark.parametrize("cell", [" " * 200_000 + "44", "0." + "0" * 200_000])
