@@ -15,10 +15,11 @@ raising).
 
 Each evaluated point costs one matrix-vector product and one
 ``logaddexp``: :func:`_margins` returns z and s = log(1 + exp(-|z|)), the
-loss term is max(z, 0) + s and the sigmoid is exp(-(max(-z, 0) + s)).  Both
-are numpy's own ``logaddexp(0, t)`` = max(0, t) + log1p(exp(-|t|)) term for
-term, so they are bit-identical to calling it, and the gradient at an
-accepted candidate reuses the pair its loss was computed from.
+loss term is max(z, 0) + s and the sigmoid (:func:`_sigmoid`, which
+scoring uses too) is exp(-(max(-z, 0) + s)).  Both are numpy's own
+``logaddexp(0, t)`` = max(0, t) + log1p(exp(-|t|)) term for term, so they
+are bit-identical to calling it, and the gradient at an accepted candidate
+reuses the pair its loss was computed from.
 """
 
 from __future__ import annotations
@@ -31,14 +32,9 @@ from ..errors import ConfigError
 from ..preprocess import Dataset
 from .base import ClassifierSpec
 
-__all__ = ["sigmoid", "nll_loss", "nll_gradient", "LogisticModel", "fit"]
+__all__ = ["nll_loss", "nll_gradient", "LogisticModel", "fit"]
 
 _MAX_HALVINGS = 60
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=np.float64)))
 
 
 def _margins(w: np.ndarray, b: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,6 +42,11 @@ def _margins(w: np.ndarray, b: float, X: np.ndarray) -> tuple[np.ndarray, np.nda
     :func:`nll_loss` and :func:`nll_gradient` share at one point."""
     z = X @ w + b
     return z, np.logaddexp(0.0, -np.abs(z))
+
+
+def _sigmoid(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The logistic function of the margins ``(z, s)`` from :func:`_margins`."""
+    return np.exp(-(np.maximum(-z, 0.0) + s))
 
 
 def nll_loss(
@@ -69,7 +70,7 @@ def nll_gradient(
     """Analytic gradient of :func:`nll_loss` in (w, b)."""
     n = len(y)
     z, s = _margins(w, b, X) if margins is None else margins
-    residual = np.exp(-(np.maximum(-z, 0.0) + s)) - y  # sigmoid(z) - y
+    residual = _sigmoid(z, s) - y
     grad_w = X.T @ residual / n + (lam / n) * w
     grad_b = float(residual.sum()) / n
     return grad_w, grad_b
@@ -87,7 +88,7 @@ class LogisticModel:
         return len(self.weights)
 
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(X @ self.weights + self.bias)
+        return _sigmoid(*_margins(self.weights, self.bias, X))
 
 
 def _descend(

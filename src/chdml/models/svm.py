@@ -207,6 +207,11 @@ def fit(spec: ClassifierSpec, train: Dataset) -> SvmModel:
     hp = spec.resolved()
     C = hp["C"]
     tol = hp["tol"]
+    if not math.isfinite(4.0 * C * C):  # a flat-curvature step squares multipliers up to 2C
+        raise ConfigError(
+            f"SVM hyperparameter 'C' {C!r} is too large: the solver squares multipliers "
+            "up to 2C, and (2C)**2 is not finite"
+        )
 
     X = train.features
     y = np.where(train.labels == 1, 1.0, -1.0)

@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, check_integer
 from .eval import EvalSummary, SmoteMode, score_folds
-# perfbench/spans.py wraps these by their names in this module (see cli.py).
-from .eval import cross_validate, holdout_evaluate  # noqa: F401
+# perfbench/spans.py wraps these by their names in this module (see cli.py);
+# nothing here calls them.
+from .eval import cross_validate, holdout_evaluate, smote  # noqa: F401
 from .features import FeatureScores, SelectionResult, score_features, select_k_best
 from .ingest import (
     FRAMINGHAM,
@@ -57,7 +58,7 @@ from .preprocess import (
     select_features,
     to_dataset,
 )
-from .resample import SmoteParams, smote
+from .resample import SmoteParams, smote_plan
 
 __all__ = ["PipelineConfig", "RunReport", "DEFAULT_CONFIG", "run_pipeline", "emit_tables"]
 
@@ -365,8 +366,11 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     smote_arm_mode = config.smote_mode
     balance_resampled = None
-    if smote_arm_mode is not SmoteMode.NONE:
-        balance_resampled = smote(dataset, config.smote).class_counts()
+    if smote_arm_mode is not SmoteMode.NONE:  # SMOTE's errors come before the folds'
+        minority_label, n_new = smote_plan(dataset, config.smote)
+        counts = list(dataset.class_counts())
+        counts[minority_label] += n_new
+        balance_resampled = (counts[0], counts[1])
 
     t0 = time.perf_counter()
     cv = {ARM_ORIGINAL: evaluate_arm(config, dataset, SmoteMode.NONE)}

@@ -104,10 +104,13 @@ def _present(values: np.ndarray) -> np.ndarray:
 
 
 def check_columns(schema: Schema, columns: Sequence[str]) -> None:
-    """A :class:`ConfigError` for the first of ``columns`` not in ``schema``."""
+    """A :class:`ConfigError` for the first of ``columns`` that is not a
+    predictor of ``schema``: cleaning never touches the target."""
     for name in columns:
         if name not in schema.names:
             raise ConfigError(f"no column named {name!r} in the schema")
+        if name == schema.target_name:
+            raise ConfigError(f"{name!r} is the target column; only predictors can be cleaned")
 
 
 def impute_mean(table: CohortTable, columns: Sequence[str]) -> CohortTable:

@@ -6,7 +6,9 @@ ratio.  Base rows are cycled round-robin in index order; per synthetic
 row, one neighbor is drawn uniformly from the base's k nearest and one
 gap u ~ U[0, 1) places the new point on the connecting segment.  All
 randomness comes from a single generator seeded by ``SmoteParams.seed``,
-so equal seeds give byte-identical output.
+so equal seeds give byte-identical output.  :func:`smote_plan` states the
+count rule and every check made before a row is written, so a caller can
+learn the resampled counts without oversampling.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import numpy as np
 from .errors import ConfigError, DataError, check_integer
 from .preprocess import Dataset, nearest_columns, sq_distance_chunks
 
-__all__ = ["SmoteParams", "minority_neighbors", "smote"]
+__all__ = ["SmoteParams", "minority_neighbors", "smote_plan", "smote"]
+
+_TOO_FEW = "need at least 2 minority rows"
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     X = np.asarray(X_min, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
-        raise DataError("need at least 2 minority rows")
+        raise DataError(_TOO_FEW)
     k_eff = min(int(k), n - 1)
     neighbors = np.empty((n, k_eff), dtype=np.intp)
     for rows, d2 in sq_distance_chunks(X, X):
@@ -79,25 +83,39 @@ def minority_neighbors(X_min: np.ndarray, k: int) -> np.ndarray:
     return neighbors
 
 
+def smote_plan(dataset: Dataset, params: SmoteParams) -> tuple[int, int]:
+    """``(minority_label, rows_to_add)`` of :func:`smote`, raising what it raises
+    before writing a row.  The minority (positives on equal counts) grows to
+    ``floor(target_ratio * n_maj + 0.5)`` rows."""
+    n0, n1 = dataset.class_counts()
+    if n0 == 0 or n1 == 0:
+        raise DataError("both classes must be present to oversample")
+    minority_label = 1 if n1 <= n0 else 0
+    n_min, n_maj = (n1, n0) if minority_label == 1 else (n0, n1)
+    n_new = int(math.floor(params.target_ratio * n_maj + 0.5)) - n_min
+    if n_new <= 0:
+        return minority_label, 0
+    if n_min < 2:
+        raise DataError(_TOO_FEW)
+    top = max(params.nominal_columns, default=-1)  # SmoteParams rejects a negative index
+    if params.round_nominal and top >= dataset.n_features:
+        raise ConfigError(f"nominal_columns index {top} is out of range")
+    return minority_label, n_new
+
+
 def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
     """Append synthetic minority rows until counts reach the target ratio.
 
     Original rows are never touched and always precede the synthetics.
     Already-balanced input (at target_ratio 1.0) is returned unchanged.
     """
-    n0, n1 = dataset.class_counts()
-    if n0 == 0 or n1 == 0:
-        raise DataError("both classes must be present to oversample")
-    # on equal counts the positive class is treated as the minority
-    minority_label = 1 if n1 <= n0 else 0
-    n_min, n_maj = (n1, n0) if minority_label == 1 else (n0, n1)
-    wanted = int(math.floor(params.target_ratio * n_maj + 0.5))
-    n_new = wanted - n_min
-    if n_new <= 0:
+    minority_label, n_new = smote_plan(dataset, params)
+    if n_new == 0:
         return dataset
 
     min_idx = np.flatnonzero(dataset.labels == minority_label)
     X_min = dataset.features[min_idx]
+    n_min = len(min_idx)
     neighbors = minority_neighbors(X_min, params.k_neighbors)
     k_eff = neighbors.shape[1]
 
@@ -110,8 +128,6 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
         synth[t] = X_min[base] + gap * (X_min[pick] - X_min[base])
     if params.round_nominal and params.nominal_columns:
         cols = list(params.nominal_columns)
-        if max(cols) >= dataset.n_features:  # SmoteParams rejects a negative index
-            raise ConfigError(f"nominal_columns index {max(cols)} is out of range")
         synth[:, cols] = np.rint(synth[:, cols])
 
     features = np.vstack([dataset.features, synth])

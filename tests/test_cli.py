@@ -198,6 +198,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "data error: each class needs at least 1000000 rows for 1000000 folds\n"
 
+    @pytest.mark.parametrize("command", ["clean", "run"])
+    @pytest.mark.parametrize("key", ["drop_columns", "impute_columns", "outlier_columns"])
+    def test_target_in_a_cleaning_list_is_one_line(self, tmp_path, capsys, command, key):
+        config = with_config(tmp_path, outlier_method="IQR", **{key: ["sysBP", "TenYearCHD"]})
+        assert main([command, "--config", config, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: 'TenYearCHD' is the target column; "
+            "only predictors can be cleaned\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "kind, code, prefix",
         [("csv", 3, "data error: "), ("config", 2, "configuration error: "),
@@ -263,8 +275,9 @@ class TestExitCodes:
              "var_floor_ratio"),
             ({"algorithm": "SVM", "hyperparameters": {"gamma": 1e308}}, "gamma"),
             ({"algorithm": "LR", "hyperparameters": {"step": 1e308, "max_iter": 20}}, "step"),
+            ({"algorithm": "SVM", "hyperparameters": {"C": 1e308, "gamma": 5e-324}}, "C"),
         ],
-        ids=["huge-var-floor-ratio", "huge-gamma", "huge-step"],
+        ids=["huge-var-floor-ratio", "huge-gamma", "huge-step", "huge-C"],
     )
     def test_hyperparameter_too_large_for_the_data_is_one_line(
         self, tmp_path, capsys, entry, name

@@ -275,7 +275,7 @@ class TestOnePassPerArm:
 
         monkeypatch.setattr(module, name, counted)
 
-    @pytest.mark.parametrize("mode, smote_calls", [("paper-faithful", 2), ("leakage-free", 5 + 2)])
+    @pytest.mark.parametrize("mode, smote_calls", [("paper-faithful", 1), ("leakage-free", 5 + 1)])
     def test_split_and_smote_counts(self, tmp_path, monkeypatch, mode, smote_calls):
         config = dataclasses.replace(
             PipelineConfig.from_file(str(DATA / "fixture_config.json")),
@@ -292,10 +292,37 @@ class TestOnePassPerArm:
             self.count_calls(monkeypatch, module, name, counts)
         run_pipeline(config)
         # paper-faithful: one resample of the whole dataset serves the CV folds
-        # and the hold-out split, and the class count makes one more;
-        # leakage-free: each fold's and the hold-out's training side, plus the
-        # class count
+        # and the hold-out split; leakage-free: each fold's and the hold-out's
+        # training side.  The resampled class count oversamples nothing.
         assert counts == {"stratified_kfold": 2, "stratified_split": 2, "smote": smote_calls}
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "leakage-free"])
+    @pytest.mark.parametrize(
+        "labels, smote, error",
+        [
+            ([0] * 40, {}, "both classes must be present to oversample"),
+            ([1] + [0] * 39, {}, "need at least 2 minority rows"),
+            (None, {"round_nominal": True, "nominal_columns": [99]},
+             "nominal_columns index 99 is out of range"),
+        ],
+        ids=["one-class", "one-positive", "nominal-index-out-of-range"],
+    )
+    def test_smote_error_comes_before_the_original_arm(
+        self, tmp_path, monkeypatch, mode, labels, smote, error
+    ):
+        lines = (DATA / "fixture.csv").read_text(encoding="utf-8").splitlines()[:41]
+        if labels is not None:
+            lines[1:] = [line.rsplit(",", 1)[0] + f",{y}" for line, y in zip(lines[1:], labels)]
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = fast_config(tmp_path, input_path=str(cohort), smote_mode=mode, smote=smote)
+
+        def no_arm(*args):
+            raise AssertionError("an arm was evaluated before SMOTE's checks")
+
+        monkeypatch.setattr(chdml.pipeline, "evaluate_arm", no_arm)
+        with pytest.raises((ConfigError, DataError), match=f"^{error}$"):
+            run_pipeline(config)
 
     @pytest.mark.parametrize("mode", [SmoteMode.NONE, SmoteMode.LEAKAGE_FREE])
     def test_fold_error_comes_before_the_holdout_error(self, mode):

@@ -112,6 +112,33 @@ class TestRemoveOutliers:
         assert r1.columns == r2.columns
 
 
+class TestTargetIsNotCleaned:
+    """IQR on a 0/1 target with few positives has Q1 = Q3 = 0 and would flag
+    every positive row, so each cleaning stage refuses the target by name."""
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            lambda table, cols: chdml.remove_outliers(table, "IQR", cols),
+            chdml.drop_rows_missing,
+            chdml.impute_mean,
+        ],
+        ids=["remove_outliers", "drop_rows_missing", "impute_mean"],
+    )
+    def test_stage_refuses_the_target(self, fixture_table, stage):
+        with pytest.raises(ConfigError, match="^'TenYearCHD' is the target column; "):
+            stage(fixture_table, ["sysBP", "TenYearCHD"])
+
+    def test_custom_schema_target_refused(self):
+        schema = chdml.ingest.Schema((
+            chdml.ingest.Column("x", chdml.ingest.FeatureKind.CONTINUOUS),
+            chdml.ingest.Column("outcome", chdml.ingest.FeatureKind.BINARY, target=True),
+        ))
+        preprocess.check_columns(schema, ["x"])
+        with pytest.raises(ConfigError, match="^'outcome' is the target column; "):
+            preprocess.check_columns(schema, ["x", "outcome"])
+
+
 class TestStandardize:
     def test_two_points(self):
         # mean 5, sample std sqrt(50) -> +/- 5/7.0711 = 0.70710678.

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from chdml import preprocess
+from chdml import preprocess, resample
 from chdml.errors import ConfigError, DataError
 from chdml.preprocess import Dataset
-from chdml.resample import SmoteParams, minority_neighbors, smote
+from chdml.resample import SmoteParams, minority_neighbors, smote, smote_plan
 
 
 def toy(n_major=12, n_minor=4, d=3, seed=0):
@@ -149,11 +149,35 @@ class TestSmote:
         synth = out.features[8:]
         assert np.array_equal(synth, np.rint(synth))
 
-    def test_round_nominal_index_out_of_range(self):
+    def test_round_nominal_index_out_of_range(self, monkeypatch):
+        def no_neighbors(*args):
+            raise AssertionError("synthesis started before the index check")
+
+        monkeypatch.setattr(resample, "minority_neighbors", no_neighbors)
         data = toy(n_major=8, n_minor=4)
         params = SmoteParams(k_neighbors=2, round_nominal=True, nominal_columns=(0, 7))
         with pytest.raises(ConfigError, match="nominal_columns index 7 "):
             smote(data, params)
+
+
+class TestPlan:
+    @pytest.mark.parametrize(
+        "n_major, n_minor, ratio",
+        [(12, 4, 1.0), (10, 4, 0.5), (10, 5, 0.5), (5, 5, 1.0), (4, 9, 1.0), (9, 2, 0.25),
+         (7, 3, 0.5)],
+    )
+    def test_counts_are_smotes(self, n_major, n_minor, ratio):
+        data = toy(n_major=n_major, n_minor=n_minor)  # the minor rows are the positives
+        label, n_new = smote_plan(data, SmoteParams(k_neighbors=2, target_ratio=ratio))
+        assert label == (1 if n_minor <= n_major else 0)
+        out = smote(data, SmoteParams(k_neighbors=2, target_ratio=ratio))
+        assert out.n_rows - data.n_rows == n_new
+        assert (out.labels[data.n_rows:] == label).all()
+
+    def test_balanced_input_skips_the_row_checks(self):
+        y = np.array([0, 1])
+        params = SmoteParams(round_nominal=True, nominal_columns=(9,))
+        assert smote_plan(Dataset(np.zeros((2, 1)), y), params) == (1, 0)
 
 
 def test_fixture_smote_counts(fixture_dataset):
