@@ -10,12 +10,13 @@ file was exported.
 Missing values are the empty string or the token ``NA`` (case-insensitive,
 surrounding whitespace ignored); they are stored as ``NaN`` inside float64
 column vectors.  Rows are read in blocks of lines.  A plain block is
-parsed by numpy's C parser in one call, with no Python string per cell
-(the rule is in the docstring of :func:`_plain_values`).  From the first
-block that is not plain or that holds a cell breaking a rule below, the
-rest of the file is read by ``csv.reader``, with the same values and
-messages: it alone reads quoted fields, bare carriage returns and
-non-ASCII text, and it alone writes an error for a cell.  Each cell is
+parsed by numpy's C parser in one call, with no Python string per cell;
+its ``NA`` cells and its empty cells are read as NaN (the rule is in the
+docstring of :func:`_plain_values`).  From the first block that is not
+plain or that may hold a cell breaking a rule below, the rest of the file
+is read row by row by ``csv.reader``, with the same values and messages:
+it alone reads quoted fields, bare carriage returns, whitespace-only cells
+and non-ASCII text, and it alone writes an error for a cell.  Each cell is
 checked against these rules, in this order, and the first it breaks is
 the reason its error gives:
 
@@ -276,53 +277,30 @@ def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
     return order
 
 
-def _float_or_none(text: str) -> float | None:
+def _parse_cell(text: str, col: Column) -> tuple[float, str | None]:
+    """A cell's value, and the reason of the first rule of the module
+    docstring that it breaks (``""`` for rule 2, which gives none), or
+    ``None`` if it breaks none."""
+    token = text.strip()
+    if token.lower() in MISSING_TOKENS:
+        return math.nan, "target may not be missing" if col.target else None
     try:
-        return float(text.strip())
+        value = float(token)
     except ValueError:
-        return None
-
-
-def _kind_problem(
-    values: np.ndarray, finite: np.ndarray, col: Column
-) -> tuple[int, str] | None:
-    """The index and reason of the first finite cell of a column block that
-    breaks rule 4, 5 or 6 of the module docstring, or ``None``."""
-    rules = []  # (the finite cells each rule rejects, its reason)
-    if col.kind is FeatureKind.BINARY:
-        rules.append((finite & (values != 0.0) & (values != 1.0), "expected 0 or 1"))
+        return math.nan, ""
+    if not math.isfinite(value):
+        return value, "not a finite number"
+    if col.kind is FeatureKind.BINARY and value not in (0.0, 1.0):
+        return value, "expected 0 or 1"
     if col.kind is FeatureKind.ORDINAL:
-        rules.append((finite & (values != np.trunc(values)), "expected an integer"))
-        # Python comparisons: numpy would round an int bound above 2**53
-        low = -math.inf if col.low is None else col.low
-        high = math.inf if col.high is None else col.high
-        present = values[finite]
-        if present.size and (float(present.min()) < low or float(present.max()) > high):
-            mask = finite & np.array([v < low or v > high for v in values.tolist()])
-            rules.append((mask, f"outside [{col.low}, {col.high}]"))
-    firsts = [(int(mask.argmax()), reason) for mask, reason in rules if mask.any()]
-    return min(firsts, key=lambda first: first[0], default=None)
-
-
-def _column_values(texts: Sequence[str], col: Column) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """One column of a block as float64, and the index and reason of its first
-    cell that breaks a rule of the module docstring (``None`` if none does)."""
-    # a missing token, or text float() rejects: either is NaN here
-    values = np.array([_float_or_none(t) for t in texts], dtype=np.float64)
-    finite = np.isfinite(values)
-    firsts = []  # (index, reason) of the first cell each rule rejects, in rule order
-    for i in np.flatnonzero(~finite).tolist():  # rules 1-3
-        if texts[i].strip().lower() not in MISSING_TOKENS:
-            reason = "" if _float_or_none(texts[i]) is None else "not a finite number"
-            firsts.append((i, reason))
-            break
-        if col.target:
-            firsts.append((i, "target may not be missing"))
-            break
-    kind = _kind_problem(values, finite, col)
-    if kind is not None:
-        firsts.append(kind)
-    return values, min(firsts, key=lambda first: first[0], default=None)
+        if value != int(value):
+            return value, "expected an integer"
+        # not a chained comparison: no value is outside a NaN bound
+        if (col.low is not None and value < col.low) or (
+            col.high is not None and value > col.high
+        ):
+            return value, f"outside [{col.low}, {col.high}]"
+    return value, None
 
 
 def _refuse_undecodable(row: list[str]) -> None:
@@ -333,39 +311,26 @@ def _refuse_undecodable(row: list[str]) -> None:
     ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
 
 
-def _parse_block(
-    file_columns: Sequence[Sequence[str]],
-    numbers: Sequence[int],
-    schema: Schema,
-    positions: list[int],
-) -> list[np.ndarray]:
-    """Parse a block, given as its cells by file column, into one float64
-    vector per schema column, or raise for its first bad cell: the first row
-    that has one, and in it the first bad column in schema order.
-    ``float()`` rejects a cell with bytes that are not UTF-8, so that row is
-    the first to hold any; it raises ``UnicodeDecodeError`` instead."""
-    columns, problems = [], []
-    for k, (col, pos) in enumerate(zip(schema.columns, positions)):
-        values, problem = _column_values(file_columns[pos], col)
-        columns.append(values)
-        if problem is not None:
-            problems.append((problem[0], k, problem[1]))
-    if problems:
-        i, k, reason = min(problems)
-        _refuse_undecodable([cells[i] for cells in file_columns])
-        detail = f" ({reason})" if reason else ""
-        raise DataError(
-            f"row {numbers[i]}, column {schema.columns[k].name!r}: "
-            f"cannot parse {file_columns[positions[k]][i]!r}{detail}"
-        )
-    return columns
+def _loadtxt(text: str) -> np.ndarray:
+    return np.loadtxt(
+        io.StringIO(text), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+    )
+
+
+def _fill_empty_cells(text: str) -> str:
+    """``text`` with ``nan`` written into each empty cell: one between two
+    commas, or between a comma and the start or end of a line."""
+    text = "\n" + text + "\n"
+    for _ in range(2):  # the second pass fills the cells the first overlapped
+        text = text.replace(",,", ",nan,")
+    return text.replace("\n,", "\nnan,").replace(",\n", ",nan\n")[1:-1]
 
 
 def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     """Parse a block of lines into a ``(rows, width)`` float64 array in one
-    call of numpy's C parser, with each ``NA`` cell read as NaN, or return
-    ``None`` if the block is not plain.  Once ``\\r\\n`` is read as
-    ``\\n``, a block is plain when all of these hold:
+    call of numpy's C parser, with each ``NA`` cell and each empty cell read
+    as NaN, or return ``None`` if the block is not plain.  Once ``\\r\\n``
+    is read as ``\\n``, a block is plain when all of these hold:
 
     1. its text is not all whitespace;
     2. it holds no ``+N`` or ``-N``;
@@ -373,20 +338,25 @@ def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     4. once each ``NA`` is read as ``nan``, deleting digits, ``.+-eE``,
        commas, line ends, spaces and tabs from its UTF-8 bytes leaves one
        ``nan`` per ``NA``;
-    5. ``np.loadtxt`` raises nothing, and returns one row of ``width``
-       values per line.
+    5. ``np.loadtxt`` raises nothing, or, if it raised, nothing once
+       :func:`_fill_empty_cells` has written ``nan`` into each empty cell;
+       and it returns one row of ``width`` values per line.
 
     By 4, the text holds no quote, no NUL, no bare ``\\r`` and nothing
     that is not ASCII, and its only letters are the ``NA`` cells' and
     ``e`` and ``E``; so each line is one row whose cells are what
-    ``csv.reader`` gives.  numpy skips empty lines (1 keeps it from
-    warning of a block of them) and refuses an empty field or a changed
-    field count, so by 5 no line is blank and each has ``width`` cells.
-    numpy reads a cell as NaN only if it spells ``nan``, perhaps padded or
-    signed, so by 2 the NaN cells are the ``NA`` cells: the missing cells.
-    Any other cell numpy reads as ``float()`` reads it stripped, bit for
-    bit, or refuses (``1_0``), so a plain block holds the values a
-    cell-by-cell read would give.
+    ``csv.reader`` gives.  numpy refuses an empty field, so a block without
+    one is parsed once.  numpy skips empty lines (1 keeps it from warning
+    of a block of them), which the fill leaves empty, and refuses a
+    whitespace-only field or a changed field count, so by 5 no line is
+    blank, but for a line of commas alone, and each has ``width`` cells.
+    That line reads as a row of NaN, so its target is missing and
+    :func:`_plain_columns` refuses the block.  numpy reads a cell as NaN
+    only if it spells ``nan``, perhaps padded or signed, so by 2 the NaN
+    cells are the ``NA`` cells and the empty cells: the missing cells.  Any
+    other cell numpy reads as ``float()`` reads it stripped, bit for bit,
+    or refuses (``1_0``), so a plain block holds the values a cell-by-cell
+    read would give.
     """
     text = "".join(lines).replace("\r\n", "\n")
     if (
@@ -402,11 +372,12 @@ def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     if rest != b"nan" * missing:
         return None
     try:
-        values = np.loadtxt(
-            io.StringIO(text), delimiter=",", dtype=np.float64, ndmin=2, comments=None
-        )
+        values = _loadtxt(text)
     except ValueError:
-        return None
+        try:
+            values = _loadtxt(_fill_empty_cells(text))
+        except ValueError:
+            return None
     return values if values.shape == (len(lines), width) else None
 
 
@@ -414,19 +385,25 @@ def _plain_columns(
     values: np.ndarray, schema: Schema, positions: list[int]
 ) -> list[np.ndarray] | None:
     """The columns of a parsed plain block in schema order, or ``None`` if a
-    cell breaks rule 1, 3, 4, 5 or 6 of the module docstring (its only NaN
-    cells are missing cells, so it breaks no other)."""
+    cell may break rule 1, 3, 4, 5 or 6 of the module docstring (its only NaN
+    cells are missing cells, so it breaks no other).  Which cell, and why,
+    is left to :func:`_read_rows`."""
     if np.isinf(values).any():
         return None
-    finite = ~np.isnan(values)
-    columns = []
-    for col, pos in zip(schema.columns, positions):
-        column, present = values[:, pos], finite[:, pos]
-        if col.target and not present.all():
+    columns = [values[:, pos] for pos in positions]
+    for col, column in zip(schema.columns, columns):
+        present = column[~np.isnan(column)]
+        if col.target and present.size < column.size:
             return None
-        if _kind_problem(column, present, col) is not None:
+        if col.kind is FeatureKind.BINARY and ((present != 0.0) & (present != 1.0)).any():
             return None
-        columns.append(column)
+        if col.kind is FeatureKind.ORDINAL and present.size and (
+            (present != np.trunc(present)).any()
+            # Python comparisons: numpy would round an int bound above 2**53
+            or (col.low is not None and float(present.min()) < col.low)
+            or (col.high is not None and float(present.max()) > col.high)
+        ):
+            return None
     return columns
 
 
@@ -436,54 +413,55 @@ def _column_blocks(
     """Yield the columns, in schema order, of the data rows after the header,
     a block of up to :data:`_BLOCK` lines at a time, or raise for the first
     bad cell or row.  Plain blocks whose cells break no rule are parsed by
-    :func:`_plain_values`; from the first other block on, the lines go
-    through ``csv.reader``, :func:`_row_blocks` and :func:`_parse_block`."""
+    :func:`_plain_values`; from the first other block on, the lines are read
+    by :func:`_read_rows`."""
     number = 0  # rows read so far
     while lines := list(itertools.islice(handle, _BLOCK)):
         values = _plain_values(lines, width)
         columns = None if values is None else _plain_columns(values, schema, positions)
         if columns is None:
-            reader = csv.reader(itertools.chain(lines, handle))
-            for rows, numbers in _row_blocks(reader, width, path, number):
-                if numbers:
-                    yield _parse_block(list(zip(*rows)), numbers, schema, positions)
+            rest = itertools.chain(lines, handle)
+            yield from _read_rows(rest, width, path, schema, positions, number)
             return
         yield columns
         number += len(lines)
 
 
-def _row_blocks(
-    reader: Iterator[list[str]], width: int, path: str, before: int
-) -> Iterator[tuple[list[list[str]], list[int]]]:
-    """Yield ``(rows, row numbers)`` of up to :data:`_BLOCK` non-blank rows,
-    numbering rows from ``before + 1``.
-
-    A row with the wrong field count or an over-long field ends the current
-    block early: the block is yielded, so that its cells are checked and an
-    earlier bad cell is reported first, and then the error is raised (a
-    ``UnicodeDecodeError`` if the short row holds bytes that are not UTF-8).
-    Blocks may be empty.
-    """
-    rows: list[list[str]] = []
-    numbers: list[int] = []
+def _read_rows(
+    lines: Iterator[str], width: int, path: str, schema: Schema, positions: list[int], before: int
+) -> Iterator[list[np.ndarray]]:
+    """Read ``lines`` with ``csv.reader``, numbering rows from ``before + 1``
+    and skipping blank ones, and yield the columns, in schema order, of up to
+    :data:`_BLOCK` rows at a time.  Raise for the first row with the wrong
+    field count or an over-long field, or with a cell that breaks a rule of
+    the module docstring (the row's first such cell in schema order).  A row
+    refused for its field count or a cell raises ``UnicodeDecodeError``
+    instead if it holds bytes that are not UTF-8 (``float()`` rejects such a
+    cell, so that row is the first to hold any)."""
+    cells: list[list[float]] = [[] for _ in positions]
     number = before
     try:
-        for number, row in enumerate(reader, start=before + 1):
+        for number, row in enumerate(csv.reader(lines), start=before + 1):
             if not any(map(str.strip, row)):
                 continue  # ignore blank lines
             if len(row) != width:
-                yield rows, numbers
                 _refuse_undecodable(row)
                 raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
-            rows.append(row)
-            numbers.append(number)
-            if len(rows) == _BLOCK:
-                yield rows, numbers
-                rows, numbers = [], []
+            for col, pos, column in zip(schema.columns, positions, cells):
+                value, reason = _parse_cell(row[pos], col)
+                if reason is not None:
+                    _refuse_undecodable(row)
+                    detail = f" ({reason})" if reason else ""
+                    raise DataError(
+                        f"row {number}, column {col.name!r}: cannot parse {row[pos]!r}{detail}"
+                    )
+                column.append(value)
+            if len(cells[0]) == _BLOCK:
+                yield [np.array(column, dtype=np.float64) for column in cells]
+                cells = [[] for _ in positions]
     except csv.Error as exc:  # raised while reading the row after `number`
-        yield rows, numbers
         raise DataError(f"{path}: row {number + 1}: {exc}") from None
-    yield rows, numbers
+    yield [np.array(column, dtype=np.float64) for column in cells]
 
 
 def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:

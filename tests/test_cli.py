@@ -210,6 +210,20 @@ class TestExitCodes:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["clean", "run"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_output_dir_is_one_line(self, tmp_path, capsys, monkeypatch, command, where):
+        monkeypatch.chdir(tmp_path)
+        if where == "config":
+            argv = ["--config", with_config(tmp_path, output_dir="")]
+        else:
+            argv = ["--config", with_config(tmp_path), "--output", ""]
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: output_dir must name a directory, not ''\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(
         "kind, code, prefix",
         [("csv", 3, "data error: "), ("config", 2, "configuration error: "),

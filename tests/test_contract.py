@@ -83,9 +83,10 @@ FIELDS = {
     "test_fraction": either([0.2, 0.5], [0.999999, 1, float("nan"), *EXTREMES]),
     "input_path": either([FIXTURE], [str(DATA / "absent.csv"), str(DATA / "fixture_config.json"),
                                      *EXTREMES]),
-    # no string but one under a file, so no run writes outside its temporary folder
+    # a path under a file, or "", which would name the working directory: the
+    # run's temporary folder, so no run writes outside it
     "output_dir": st.sampled_from(
-        [os.path.join(FIXTURE, "out"), *(v for v in EXTREMES if not isinstance(v, str))]),
+        [os.path.join(FIXTURE, "out"), "", *(v for v in EXTREMES if not isinstance(v, str))]),
     "bogus": st.sampled_from(EXTREMES),
 }
 
@@ -145,10 +146,15 @@ def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main(["run", "--config", str(config)])
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(["run", "--config", str(config)])
+        finally:
+            os.chdir(cwd)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
     assert not caught, [str(w.message) for w in caught]

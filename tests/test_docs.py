@@ -1,5 +1,6 @@
 """The README documents the config format that the code defines."""
 
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -23,3 +24,25 @@ def test_readme_bounds_paragraph_names_every_bounded_hyperparameter():
     every = {name for defaults in DEFAULT_HYPERPARAMETERS.values() for name in defaults}
     named = set(re.findall(r"`(\w+)`", paragraph)) & every
     assert named == set(HYPERPARAMETER_BOUNDS)
+
+
+def resolves(dotted):
+    """Whether ``a.b.c`` names a module or an attribute reached from one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                return False
+    return True
+
+
+def test_readme_chdml_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = set(re.findall(r"`(chdml(?:\.\w+)+)", text))
+    assert names  # the pattern still finds the README's names
+    assert sorted(n for n in names if not resolves(n)) == []

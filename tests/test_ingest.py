@@ -14,6 +14,7 @@ import csv
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -416,6 +417,20 @@ class TestBlockedRead:
         with pytest.raises(DataError, match="^row 1, column 'age': cannot parse 'x'$"):
             chdml.load_csv(write(tmp_path, mini_csv(rows)))
 
+    def test_row_loop_memory_is_bounded(self, tmp_path):
+        # a quoted first cell sends every row to csv.reader
+        rows = ['"1"' + ROW_A[1:]] + [ROW_A, ROW_B, ROW_C, ROW_D] * 1024
+        path = write(tmp_path, mini_csv(rows))
+        with mock.patch.object(ingest, "_BLOCK", 256):
+            tracemalloc.start()
+            try:
+                table = chdml.load_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        columns = table.row_count * len(FRAMINGHAM.columns) * 8  # bytes of the table
+        assert peak < 4 * columns  # a float object per cell held to the end takes 5
+
 
 #: Cells that reach every rule: missing spellings, text float() rejects or
 #: reads only once stripped, nan and inf, an overflow, an underscore, a
@@ -624,9 +639,9 @@ class TestLineLevelInput:
 
 @contextlib.contextmanager
 def counted_calls():
-    """Count the calls of ``_row_blocks``, one per hand-over to csv.reader,
-    and of ``_float_or_none``, one per cell parsed on its own."""
-    calls = {"_row_blocks": 0, "_float_or_none": 0}
+    """Count the calls of ``_read_rows``, one per hand-over to csv.reader,
+    and of ``_parse_cell``, one per cell parsed on its own."""
+    calls = {"_read_rows": 0, "_parse_cell": 0}
 
     def counted(name, real, *args):
         calls[name] += 1
@@ -639,7 +654,7 @@ def counted_calls():
         yield calls
 
 
-NO_CALLS = {"_row_blocks": 0, "_float_or_none": 0}
+NO_CALLS = {"_read_rows": 0, "_parse_cell": 0}
 
 #: Decimals of the continuous columns that the benchmark's cohorts do not
 #: write as integers.
@@ -694,6 +709,23 @@ class TestPlainBlocks:
         assert calls == NO_CALLS
         assert got == outcome(ref_load_csv, path, FRAMINGHAM)
 
+    @pytest.mark.parametrize("comma_line", [False, True], ids=["empty-cells", "comma-only-line"])
+    def test_empty_cells_are_read_by_numpy(self, tmp_path, comma_line):
+        """Empty cells, at a line's start and end too, are read by numpy's
+        parse; a line of commas alone is a blank row that csv.reader skips,
+        so its block goes to the row loop."""
+        lines = cohort_shaped_text(2 * _BLOCK + 5, seed=5).replace("NA", "").split("\n")
+        for i in (1, _BLOCK + 1, len(lines) - 2):  # the first line of each block, the last
+            lines[i] = "," + lines[i].split(",", 1)[1]
+        assert any(line.split(",")[-2] == "" for line in lines[1:-1])
+        if comma_line:
+            lines.insert(_BLOCK + 3, "," * 15)
+        path = write(tmp_path, "\n".join(lines[:-1]))  # no line end after the last row
+        with counted_calls() as calls:
+            got = outcome(chdml.load_csv, path, FRAMINGHAM)
+        assert calls["_read_rows"] == comma_line
+        assert got == outcome(ref_load_csv, path, FRAMINGHAM)
+
     def test_a_quote_in_a_late_row_hands_the_rest_to_csv_reader(self, tmp_path):
         table = random_table(2 * _BLOCK + 5, seed=3)
         path = tmp_path / "t.csv"
@@ -704,7 +736,7 @@ class TestPlainBlocks:
         path.write_bytes(b"\r\n".join(lines))
         with counted_calls() as calls:
             assert chdml.load_csv(str(path)) == table
-        assert calls["_row_blocks"] == 1
+        assert calls["_read_rows"] == 1
 
     @pytest.mark.parametrize("cell", ["+NA", "1_0", " na "])
     def test_a_cell_numpy_must_not_read_hands_the_rest_to_csv_reader(self, tmp_path, cell):
@@ -717,7 +749,7 @@ class TestPlainBlocks:
         path.write_bytes(b"\r\n".join(lines))
         with counted_calls() as calls:
             got = outcome(chdml.load_csv, str(path), FRAMINGHAM)
-        assert calls["_row_blocks"] == 1
+        assert calls["_read_rows"] == 1
         assert got == outcome(ref_load_csv, str(path), FRAMINGHAM)
 
     #: Lines after a first block of four plain rows that numpy's parse must
