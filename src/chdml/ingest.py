@@ -44,7 +44,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -210,7 +210,7 @@ class CohortTable:
 
     @property
     def row_count(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
+        return len(next(iter(self.columns.values())))
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -227,14 +227,10 @@ class CohortTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohortTable):
             return NotImplemented
-        if self.schema != other.schema or self.row_count != other.row_count:
-            return False
-        for name in self.schema.names:
-            a, b = self.columns[name], other.columns[name]
-            same = (a == b) | (np.isnan(a) & np.isnan(b))
-            if not same.all():
-                return False
-        return True
+        return self.schema == other.schema and all(
+            np.array_equal(self.columns[name], other.columns[name], equal_nan=True)
+            for name in self.schema.names
+        )
 
 
 @dataclass(frozen=True)
@@ -326,11 +322,16 @@ def _fill_empty_cells(text: str) -> str:
     return text.replace("\n,", "\nnan,").replace(",\n", ",nan\n")[1:-1]
 
 
-def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
-    """Parse a block of lines into a ``(rows, width)`` float64 array in one
-    call of numpy's C parser, with each ``NA`` cell and each empty cell read
-    as NaN, or return ``None`` if the block is not plain.  Once ``\\r\\n``
-    is read as ``\\n``, a block is plain when all of these hold:
+def _plain_values(
+    lines: list[str], width: int, schema: Schema, positions: list[int]
+) -> np.ndarray | None:
+    """Parse a block of lines into a ``(rows, width)`` float64 array, its
+    columns in schema order, in one call of numpy's C parser, with each
+    ``NA`` cell and each empty cell read as NaN; or return ``None`` if the
+    block is not plain, or if a cell may break rule 1, 3, 4, 5 or 6 of the
+    module docstring (which cell, and why, is left to :func:`_read_rows`).
+    Once ``\\r\\n`` is read as ``\\n``, a block is plain when all of these
+    hold:
 
     1. its text is not all whitespace;
     2. it holds no ``+N`` or ``-N``;
@@ -350,10 +351,10 @@ def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     of a block of them), which the fill leaves empty, and refuses a
     whitespace-only field or a changed field count, so by 5 no line is
     blank, but for a line of commas alone, and each has ``width`` cells.
-    That line reads as a row of NaN, so its target is missing and
-    :func:`_plain_columns` refuses the block.  numpy reads a cell as NaN
-    only if it spells ``nan``, perhaps padded or signed, so by 2 the NaN
-    cells are the ``NA`` cells and the empty cells: the missing cells.  Any
+    That line reads as a row of NaN, so its target is missing and the block
+    is refused.  numpy reads a cell as NaN only if it spells ``nan``,
+    perhaps padded or signed, so by 2 the NaN cells are the ``NA`` cells
+    and the empty cells: the missing cells, which break no rule but 1.  Any
     other cell numpy reads as ``float()`` reads it stripped, bit for bit,
     or refuses (``1_0``), so a plain block holds the values a cell-by-cell
     read would give.
@@ -378,20 +379,10 @@ def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
             values = _loadtxt(_fill_empty_cells(text))
         except ValueError:
             return None
-    return values if values.shape == (len(lines), width) else None
-
-
-def _plain_columns(
-    values: np.ndarray, schema: Schema, positions: list[int]
-) -> list[np.ndarray] | None:
-    """The columns of a parsed plain block in schema order, or ``None`` if a
-    cell may break rule 1, 3, 4, 5 or 6 of the module docstring (its only NaN
-    cells are missing cells, so it breaks no other).  Which cell, and why,
-    is left to :func:`_read_rows`."""
-    if np.isinf(values).any():
+    if values.shape != (len(lines), width) or np.isinf(values).any():
         return None
-    columns = [values[:, pos] for pos in positions]
-    for col, column in zip(schema.columns, columns):
+    values = values[:, positions]
+    for col, column in zip(schema.columns, values.T):
         present = column[~np.isnan(column)]
         if col.target and present.size < column.size:
             return None
@@ -404,41 +395,22 @@ def _plain_columns(
             or (col.high is not None and float(present.max()) > col.high)
         ):
             return None
-    return columns
-
-
-def _column_blocks(
-    handle: IO[str], width: int, path: str, schema: Schema, positions: list[int]
-) -> Iterator[list[np.ndarray]]:
-    """Yield the columns, in schema order, of the data rows after the header,
-    a block of up to :data:`_BLOCK` lines at a time, or raise for the first
-    bad cell or row.  Plain blocks whose cells break no rule are parsed by
-    :func:`_plain_values`; from the first other block on, the lines are read
-    by :func:`_read_rows`."""
-    number = 0  # rows read so far
-    while lines := list(itertools.islice(handle, _BLOCK)):
-        values = _plain_values(lines, width)
-        columns = None if values is None else _plain_columns(values, schema, positions)
-        if columns is None:
-            rest = itertools.chain(lines, handle)
-            yield from _read_rows(rest, width, path, schema, positions, number)
-            return
-        yield columns
-        number += len(lines)
+    return values
 
 
 def _read_rows(
     lines: Iterator[str], width: int, path: str, schema: Schema, positions: list[int], before: int
-) -> Iterator[list[np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Read ``lines`` with ``csv.reader``, numbering rows from ``before + 1``
-    and skipping blank ones, and yield the columns, in schema order, of up to
-    :data:`_BLOCK` rows at a time.  Raise for the first row with the wrong
-    field count or an over-long field, or with a cell that breaks a rule of
-    the module docstring (the row's first such cell in schema order).  A row
-    refused for its field count or a cell raises ``UnicodeDecodeError``
-    instead if it holds bytes that are not UTF-8 (``float()`` rejects such a
-    cell, so that row is the first to hold any)."""
-    cells: list[list[float]] = [[] for _ in positions]
+    and skipping blank ones, and yield the cells of up to :data:`_BLOCK` rows
+    at a time, as one array with its columns in schema order.  Raise for the
+    first row with the wrong field count or an over-long field, or with a
+    cell that breaks a rule of the module docstring (the row's first such
+    cell in schema order).  A row refused for its field count or a cell
+    raises ``UnicodeDecodeError`` instead if it holds bytes that are not
+    UTF-8 (``float()`` rejects such a cell, so that row is the first to hold
+    any)."""
+    cells: list[float] = []
     number = before
     try:
         for number, row in enumerate(csv.reader(lines), start=before + 1):
@@ -447,7 +419,7 @@ def _read_rows(
             if len(row) != width:
                 _refuse_undecodable(row)
                 raise DataError(f"{path}: row {number} has {len(row)} fields, expected {width}")
-            for col, pos, column in zip(schema.columns, positions, cells):
+            for col, pos in zip(schema.columns, positions):
                 value, reason = _parse_cell(row[pos], col)
                 if reason is not None:
                     _refuse_undecodable(row)
@@ -455,19 +427,23 @@ def _read_rows(
                     raise DataError(
                         f"row {number}, column {col.name!r}: cannot parse {row[pos]!r}{detail}"
                     )
-                column.append(value)
-            if len(cells[0]) == _BLOCK:
-                yield [np.array(column, dtype=np.float64) for column in cells]
-                cells = [[] for _ in positions]
+                cells.append(value)
+            if len(cells) == _BLOCK * len(positions):
+                yield np.array(cells, dtype=np.float64).reshape(-1, len(positions))
+                cells = []
     except csv.Error as exc:  # raised while reading the row after `number`
         raise DataError(f"{path}: row {number + 1}: {exc}") from None
-    yield [np.array(column, dtype=np.float64) for column in cells]
+    yield np.array(cells, dtype=np.float64).reshape(-1, len(positions))
 
 
 def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     """Parse ``path`` into a :class:`CohortTable` laid out in schema order.
 
-    Rows are parsed and checked a block at a time.  Raises
+    Rows are parsed and checked a block of up to :data:`_BLOCK` lines at a
+    time, each block into one array with its columns in schema order, and
+    the table is built from one concatenate of the blocks.  Plain blocks
+    whose cells break no rule are parsed by :func:`_plain_values`; from the
+    first other block on, the lines are read by :func:`_read_rows`.  Raises
     :class:`DataError` for a header that is missing, repeats or adds a
     column, for a cell that breaks a rule of the module docstring (naming
     its 1-based data row and its column; the first such cell in the file),
@@ -475,6 +451,7 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
     over-long field, or for the first row (or header) that is not UTF-8
     text.
     """
+    parts: list[np.ndarray] = []
     try:
         with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
             try:
@@ -485,14 +462,20 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
                 raise DataError(f"{path}: header row: {exc}") from None
             _refuse_undecodable(header)
             positions = _match_header(header, schema)
-            parts = list(_column_blocks(handle, len(header), path, schema, positions))
+            number = 0  # rows read so far
+            while lines := list(itertools.islice(handle, _BLOCK)):
+                values = _plain_values(lines, len(header), schema, positions)
+                if values is None:
+                    rest = itertools.chain(lines, handle)
+                    parts += _read_rows(rest, len(header), path, schema, positions, number)
+                    break
+                parts.append(values)
+                number += len(lines)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    columns = {
-        col.name: np.concatenate([p[i] for p in parts]) if parts else np.empty(0)
-        for i, col in enumerate(schema.columns)
-    }
-    table = CohortTable(schema, columns)
+    values = np.concatenate(parts) if parts else np.empty((0, len(positions)))
+    del parts  # free the blocks before the table copies each column out
+    table = CohortTable(schema, dict(zip(schema.names, values.T)))
     log.info("loaded %s: %d rows, %d columns", path, table.row_count, len(schema.columns))
     return table
 

@@ -145,11 +145,10 @@ def _best_split(
             gini.take(_TRI[1:m] + p_left) + gini.take((_TRI[m - 1 : 0 : -1] + pos) - p_left)
         ) / m
     else:
-        # left then right child of every cut, side by side
         n_left = np.arange(1, m)
-        n = np.concatenate((n_left, m - n_left))
-        n_gini = _weighted_gini(n, np.concatenate((p_left, pos - p_left), axis=1))
-        weighted = (n_gini[:, : m - 1] + n_gini[:, m - 1 :]) / m
+        weighted = (
+            _weighted_gini(n_left, p_left) + _weighted_gini(m - n_left, pos - p_left)
+        ) / m
     weighted = np.where(sv[:, 1:] > sv[:, :-1], weighted, np.inf)
     k, i = divmod(int(weighted.argmin()), m - 1)
     if weighted[k, i] == np.inf:

@@ -146,8 +146,11 @@ class PipelineConfig:
             raise ConfigError("test_fraction must be strictly between 0 and 1")
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one classifier")
-        if not self.output_dir:
-            raise ConfigError("output_dir must name a directory, not ''")
+        for key, what in (
+            ("input_path", "a file"), ("schema_path", "a file"), ("output_dir", "a directory")
+        ):
+            if getattr(self, key) == "":
+                raise ConfigError(f"{key} must name {what}, not ''")
         object.__setattr__(self, "outlier_method", normalize_method(self.outlier_method))
 
     @classmethod

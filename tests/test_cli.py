@@ -151,6 +151,17 @@ class TestRun:
         assert a != b
         assert a == c
 
+    def test_seed_flag_replaces_explicit_seeds(self, tmp_path):
+        config = with_config(
+            tmp_path, seed=5, algorithms=["CART", {"algorithm": "NB", "seed": 5}],
+            smote={"seed": 9},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--output", str(out), "--seed", "1"]) == 0
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert echo["seed"] == echo["smote"]["seed"] == 1
+        assert [entry["seed"] for entry in echo["algorithms"]] == [1, 1]
+
     def test_mode_override(self, tmp_path):
         config = with_config(tmp_path)
         out = tmp_path / "out"
@@ -222,6 +233,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "configuration error: output_dir must name a directory, not ''\n"
         )
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["clean", "run"])
+    @pytest.mark.parametrize("where", ["input_path", "--input", "schema_path"])
+    def test_empty_input_or_schema_path_is_one_line(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CHD_DATA", FIXTURE)  # an empty input_path must not fall back
+        if where == "--input":
+            argv = ["--config", with_config(tmp_path), "--input", ""]
+        else:
+            argv = ["--config", with_config(tmp_path, **{where: ""})]
+        assert main([command, *argv, "--output", str(tmp_path / "o")]) == 2
+        key = "schema_path" if where == "schema_path" else "input_path"
+        assert capsys.readouterr().err == f"configuration error: {key} must name a file, not ''\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(

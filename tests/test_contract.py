@@ -82,7 +82,7 @@ FIELDS = {
     "cv_k": either([2, 3], [28, 1, 10**30, 2.0, *EXTREMES]),
     "test_fraction": either([0.2, 0.5], [0.999999, 1, float("nan"), *EXTREMES]),
     "input_path": either([FIXTURE], [str(DATA / "absent.csv"), str(DATA / "fixture_config.json"),
-                                     *EXTREMES]),
+                                     "", *EXTREMES]),
     # a path under a file, or "", which would name the working directory: the
     # run's temporary folder, so no run writes outside it
     "output_dir": st.sampled_from(

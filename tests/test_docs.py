@@ -1,10 +1,12 @@
-"""The README documents the config format that the code defines."""
+"""The README documents the config format and the public names that the
+code defines."""
 
 import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import chdml
 from chdml.models.base import DEFAULT_HYPERPARAMETERS, HYPERPARAMETER_BOUNDS
 from chdml.pipeline import PipelineConfig
 
@@ -24,6 +26,13 @@ def test_readme_bounds_paragraph_names_every_bounded_hyperparameter():
     every = {name for defaults in DEFAULT_HYPERPARAMETERS.values() for name in defaults}
     named = set(re.findall(r"`(\w+)`", paragraph)) & every
     assert named == set(HYPERPARAMETER_BOUNDS)
+
+
+def test_readme_public_names_are_chdml_all():
+    text = README.read_text(encoding="utf-8")
+    bullets = text.split("\n`import chdml` exposes exactly these names:\n\n", 1)[1]
+    bullets = bullets.split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(chdml.__all__)
 
 
 def resolves(dotted):

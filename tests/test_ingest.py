@@ -418,18 +418,23 @@ class TestBlockedRead:
             chdml.load_csv(write(tmp_path, mini_csv(rows)))
 
     def test_row_loop_memory_is_bounded(self, tmp_path):
+        """Both readers hold a block at a time; the table's blocks and its
+        columns take twice its bytes, and a third copy would take three."""
+        rows = [ROW_A] + [ROW_A, ROW_B, ROW_C, ROW_D.replace(" na ", "NA")] * 1024
+        plain = write(tmp_path, mini_csv(rows), "plain.csv")
         # a quoted first cell sends every row to csv.reader
-        rows = ['"1"' + ROW_A[1:]] + [ROW_A, ROW_B, ROW_C, ROW_D] * 1024
-        path = write(tmp_path, mini_csv(rows))
-        with mock.patch.object(ingest, "_BLOCK", 256):
-            tracemalloc.start()
-            try:
-                table = chdml.load_csv(path)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        columns = table.row_count * len(FRAMINGHAM.columns) * 8  # bytes of the table
-        assert peak < 4 * columns  # a float object per cell held to the end takes 5
+        quoted = write(tmp_path, mini_csv(['"1"' + ROW_A[1:]] + rows[1:]), "quoted.csv")
+        for path in (plain, quoted):
+            with counted_calls() as calls, mock.patch.object(ingest, "_BLOCK", 256):
+                tracemalloc.start()
+                try:
+                    table = chdml.load_csv(path)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert calls["_read_rows"] == (path == quoted)
+            columns = table.row_count * len(FRAMINGHAM.columns) * 8  # bytes of the table
+            assert peak < 2.5 * columns, (path, peak / columns)
 
 
 #: Cells that reach every rule: missing spellings, text float() rejects or
