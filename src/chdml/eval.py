@@ -2,17 +2,18 @@
 hold-out testing, oversampling placement modes, and grid search.
 
 Oversampling placement is a first-class choice because it changes results
-dramatically on imbalanced data.  Both :func:`iter_cv_splits` and
-:func:`holdout_split` place it by these rules:
+dramatically on imbalanced data.  :func:`split_units` places it, for the
+folds and the hold-out alike, by these rules:
 
 * ``NONE`` — evaluate the data as-is.
-* ``PAPER_FAITHFUL`` — resample the full dataset to parity *before*
+* ``PAPER_FAITHFUL`` — resample the full dataset to parity once, *before*
   folding or splitting.  Synthetic rows then land in evaluation folds,
   which inflates scores; provided because the workflow being reproduced
   behaves this way.
-* ``LEAKAGE_FREE`` — resample only the training side of each fold (fold
-  ``f`` seeded by ``child_seed(params.seed, f)``) or of the split.
-  Held-out rows are always original rows.  The sound option.
+* ``LEAKAGE_FREE`` — resample only the training side of each pair (fold
+  ``f`` seeded by ``child_seed(params.seed, f)``, the hold-out by
+  ``params.seed``).  Held-out rows are always original rows.  The sound
+  option.
 
 Models that are sensitive to feature scale (LR, SVM, KNN) see z-scored
 features, with statistics always taken from the (possibly resampled)
@@ -42,8 +43,8 @@ __all__ = [
     "stratified_split",
     "stratified_kfold",
     "roc_auc",
-    "iter_cv_splits",
-    "holdout_split",
+    "split_units",
+    "score_unit",
     "score_folds",
     "cross_validate",
     "holdout_evaluate",
@@ -180,61 +181,62 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return (r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 
-def iter_cv_splits(
+def _unit_seed(seed: int, unit: int | None) -> int:
+    """The seed a unit draws from ``seed``: ``child_seed(seed, f)`` on fold
+    ``f``, ``seed`` itself on the hold-out."""
+    return seed if unit is None else child_seed(seed, unit)
+
+
+def split_units(
     dataset: Dataset,
-    k: int,
+    k: int | None,
     seed: int,
     mode: SmoteMode = SmoteMode.NONE,
     smote_params: SmoteParams | None = None,
-) -> Iterator[tuple[Dataset, Dataset]]:
-    """Yield (train, test) datasets per fold, placed as the module docstring says."""
+    test_fraction: float | None = None,
+) -> Iterator[tuple[int | None, Dataset, Dataset]]:
+    """Yield ``(unit, train, test)``, one pair at a time, placed as the module
+    docstring says: fold ``unit`` of the ``k`` folds (none when ``k`` is None),
+    then, with a ``test_fraction``, the hold-out with ``unit`` None."""
     params = smote_params or SmoteParams()
-    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
-    folds = stratified_kfold(data, k, seed)
-    all_idx = np.arange(data.n_rows)
-    for f, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        train = take_rows(data, train_idx)
-        test = take_rows(data, test_idx)
+    if mode is SmoteMode.PAPER_FAITHFUL:
+        dataset = smote(dataset, params)
+
+    def placed(unit: int | None, train: Dataset, test: Dataset):
         if mode is SmoteMode.LEAKAGE_FREE:
-            fold_params = dataclasses.replace(params, seed=child_seed(params.seed, f))
-            train = smote(train, fold_params)
-        yield train, test
+            train = smote(train, dataclasses.replace(params, seed=_unit_seed(params.seed, unit)))
+        return unit, train, test
+
+    if k is not None:
+        all_idx = np.arange(dataset.n_rows)
+        for f, test_idx in enumerate(stratified_kfold(dataset, k, seed)):
+            train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
+            yield placed(f, take_rows(dataset, train_idx), take_rows(dataset, test_idx))
+    if test_fraction is not None:
+        yield placed(None, *stratified_split(dataset, test_fraction, seed))
 
 
-def holdout_split(
-    dataset: Dataset,
-    seed: int,
-    mode: SmoteMode = SmoteMode.NONE,
-    smote_params: SmoteParams | None = None,
-    test_fraction: float = 0.2,
-) -> tuple[Dataset, Dataset]:
-    """The stratified hold-out (train, test) pair, placed as the module docstring says."""
-    params = smote_params or SmoteParams()
-    data = smote(dataset, params) if mode is SmoteMode.PAPER_FAITHFUL else dataset
-    train, test = stratified_split(data, test_fraction, seed)
-    return (smote(train, params) if mode is SmoteMode.LEAKAGE_FREE else train), test
-
-
-def _fit_and_score(
-    specs: Sequence[ClassifierSpec], train: Dataset, test: Dataset
-) -> list[tuple[float, float, bool]]:
-    """AUC, plain accuracy, and convergence of each spec fitted on ``train``
-    and scored on ``test``; the caller sets the specs' seeds.  The pair is
-    z-scored once, by ``train``'s statistics, for the specs that need it."""
+def score_unit(
+    specs: Sequence[ClassifierSpec], unit: int | None, train: Dataset, test: Dataset
+) -> tuple[tuple[float, float, bool], ...]:
+    """AUC, plain accuracy and convergence of each spec fitted on ``train``
+    with ``_unit_seed(spec.seed, unit)`` and scored on ``test``.  The pair is
+    z-scored once, by ``train``'s statistics, for the specs that need it.
+    Reads no module state and returns plain tuples, so a worker process can
+    run it."""
     scaled = None
     if any(s.algorithm in STANDARDIZED_ALGORITHMS for s in specs):
         scaled = standardize(train, train), standardize(train, test)
     results = []
     for spec in specs:
         fit_on, score_on = scaled if spec.algorithm in STANDARDIZED_ALGORITHMS else (train, test)
-        model = models.fit(spec, fit_on)
+        model = models.fit(spec.replace(seed=_unit_seed(spec.seed, unit)), fit_on)
         scores = models.score_many(model, score_on.features)
         auc = roc_auc(scores, score_on.labels)
         predicted = (scores > models.threshold_for(model)).astype(np.int64)
         accuracy = float((predicted == score_on.labels).mean())
         results.append((auc, accuracy, bool(getattr(model, "converged", True))))
-    return results
+    return tuple(results)
 
 
 def score_folds(
@@ -246,24 +248,15 @@ def score_folds(
     smote_params: SmoteParams | None = None,
     test_fraction: float | None = None,
 ) -> list[EvalSummary]:
-    """Cross-validate every spec on the same folds, built one at a time;
-    fold ``f`` fits each spec with ``child_seed(spec.seed, f)``.  With a
-    ``test_fraction`` each spec is then fitted with its own seed on
-    :func:`holdout_split`, built after the last fold, for ``holdout_auc``.
-    Paper-faithful oversampling runs once, for the folds and the hold-out."""
-    split_mode = mode
-    if mode is SmoteMode.PAPER_FAITHFUL:
-        dataset, split_mode = smote(dataset, smote_params or SmoteParams()), SmoteMode.NONE
-    fits = []  # fits[f][i]: (AUC, accuracy, converged) of specs[i] on fold f
-    for f, (train, test) in enumerate(iter_cv_splits(dataset, k, seed, split_mode, smote_params)):
-        fits.append(_fit_and_score(
-            [s.replace(seed=child_seed(s.seed, f)) for s in specs], train, test))
-    holdout_aucs = [None] * len(specs)
-    if test_fraction is not None:
-        holdout = holdout_split(dataset, seed, split_mode, smote_params, test_fraction)
-        holdout_aucs = [auc for auc, _, _ in _fit_and_score(specs, *holdout)]
+    """Cross-validate every spec on the same folds and, with a
+    ``test_fraction``, score it on the hold-out for ``holdout_auc``:
+    :func:`score_unit` mapped over :func:`split_units`."""
+    units = split_units(dataset, k, seed, mode, smote_params, test_fraction)
+    fits = {unit: score_unit(specs, unit, train, test) for unit, train, test in units}
+    holdout = fits.pop(None, None)
+    holdout_aucs = [auc for auc, _, _ in holdout] if holdout else [None] * len(specs)
     summaries = []
-    for spec, per_fold, holdout_auc in zip(specs, zip(*fits), holdout_aucs):
+    for spec, per_fold, holdout_auc in zip(specs, zip(*fits.values()), holdout_aucs):
         aucs, accs, flags = zip(*per_fold)
         summaries.append(EvalSummary(
             spec=spec, mode=mode, fold_aucs=aucs, mean=float(np.mean(aucs)),
@@ -293,9 +286,10 @@ def holdout_evaluate(
     smote_params: SmoteParams | None = None,
     test_fraction: float = 0.2,
 ) -> float:
-    """ROC-AUC of ``spec`` fitted with its own seed on :func:`holdout_split`."""
-    train, test = holdout_split(dataset, seed, mode, smote_params, test_fraction)
-    return _fit_and_score([spec], train, test)[0][0]
+    """ROC-AUC of ``spec`` fitted with its own seed on the hold-out unit of
+    :func:`split_units`."""
+    [(unit, train, test)] = split_units(dataset, None, seed, mode, smote_params, test_fraction)
+    return score_unit([spec], unit, train, test)[0][0]
 
 
 def grid_search(

@@ -252,7 +252,8 @@ class MissingReport:
 
 
 def _match_header(header: Sequence[str], schema: Schema) -> list[int]:
-    """Map schema order to header positions, honoring aliases."""
+    """Map schema order to header positions, honoring aliases.  An accepted
+    header names each schema column once and nothing else."""
     canonical = {name.lower(): name for name in schema.names}
     seen: dict[str, int] = {}
     for pos, raw in enumerate(header):
@@ -323,10 +324,10 @@ def _fill_empty_cells(text: str) -> str:
 
 
 def _plain_values(
-    lines: list[str], width: int, schema: Schema, positions: list[int]
+    lines: list[str], schema: Schema, positions: list[int]
 ) -> np.ndarray | None:
-    """Parse a block of lines into a ``(rows, width)`` float64 array, its
-    columns in schema order, in one call of numpy's C parser, with each
+    """Parse a block of lines into one float64 array with a row per line and
+    its columns in schema order, in one call of numpy's C parser, with each
     ``NA`` cell and each empty cell read as NaN; or return ``None`` if the
     block is not plain, or if a cell may break rule 1, 3, 4, 5 or 6 of the
     module docstring (which cell, and why, is left to :func:`_read_rows`).
@@ -341,7 +342,7 @@ def _plain_values(
        ``nan`` per ``NA``;
     5. ``np.loadtxt`` raises nothing, or, if it raised, nothing once
        :func:`_fill_empty_cells` has written ``nan`` into each empty cell;
-       and it returns one row of ``width`` values per line.
+       and it returns one row of ``len(positions)`` values per line.
 
     By 4, the text holds no quote, no NUL, no bare ``\\r`` and nothing
     that is not ASCII, and its only letters are the ``NA`` cells' and
@@ -350,7 +351,7 @@ def _plain_values(
     one is parsed once.  numpy skips empty lines (1 keeps it from warning
     of a block of them), which the fill leaves empty, and refuses a
     whitespace-only field or a changed field count, so by 5 no line is
-    blank, but for a line of commas alone, and each has ``width`` cells.
+    blank, but for a line of commas alone, and each has a cell per column.
     That line reads as a row of NaN, so its target is missing and the block
     is refused.  numpy reads a cell as NaN only if it spells ``nan``,
     perhaps padded or signed, so by 2 the NaN cells are the ``NA`` cells
@@ -379,7 +380,7 @@ def _plain_values(
             values = _loadtxt(_fill_empty_cells(text))
         except ValueError:
             return None
-    if values.shape != (len(lines), width) or np.isinf(values).any():
+    if values.shape != (len(lines), len(positions)) or np.isinf(values).any():
         return None
     values = values[:, positions]
     for col, column in zip(schema.columns, values.T):
@@ -399,7 +400,7 @@ def _plain_values(
 
 
 def _read_rows(
-    lines: Iterator[str], width: int, path: str, schema: Schema, positions: list[int], before: int
+    lines: Iterator[str], path: str, schema: Schema, positions: list[int], before: int
 ) -> Iterator[np.ndarray]:
     """Read ``lines`` with ``csv.reader``, numbering rows from ``before + 1``
     and skipping blank ones, and yield the cells of up to :data:`_BLOCK` rows
@@ -410,6 +411,7 @@ def _read_rows(
     raises ``UnicodeDecodeError`` instead if it holds bytes that are not
     UTF-8 (``float()`` rejects such a cell, so that row is the first to hold
     any)."""
+    width = len(positions)  # the header's field count, by _match_header
     cells: list[float] = []
     number = before
     try:
@@ -428,12 +430,12 @@ def _read_rows(
                         f"row {number}, column {col.name!r}: cannot parse {row[pos]!r}{detail}"
                     )
                 cells.append(value)
-            if len(cells) == _BLOCK * len(positions):
-                yield np.array(cells, dtype=np.float64).reshape(-1, len(positions))
+            if len(cells) == _BLOCK * width:
+                yield np.array(cells, dtype=np.float64).reshape(-1, width)
                 cells = []
     except csv.Error as exc:  # raised while reading the row after `number`
         raise DataError(f"{path}: row {number + 1}: {exc}") from None
-    yield np.array(cells, dtype=np.float64).reshape(-1, len(positions))
+    yield np.array(cells, dtype=np.float64).reshape(-1, width)
 
 
 def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
@@ -464,10 +466,10 @@ def load_csv(path: str, schema: Schema = FRAMINGHAM) -> CohortTable:
             positions = _match_header(header, schema)
             number = 0  # rows read so far
             while lines := list(itertools.islice(handle, _BLOCK)):
-                values = _plain_values(lines, len(header), schema, positions)
+                values = _plain_values(lines, schema, positions)
                 if values is None:
                     rest = itertools.chain(lines, handle)
-                    parts += _read_rows(rest, len(header), path, schema, positions, number)
+                    parts += _read_rows(rest, path, schema, positions, number)
                     break
                 parts.append(values)
                 number += len(lines)

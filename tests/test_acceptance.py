@@ -29,8 +29,8 @@ from chdml.eval import (
     cross_validate,
     grid_search,
     holdout_evaluate,
-    iter_cv_splits,
     roc_auc,
+    split_units,
 )
 from chdml.features import mutual_information
 from chdml.models import ClassifierSpec, fit, score_many
@@ -339,7 +339,7 @@ def test_c08_leakage_free_folds_hold_no_synthetic_rows():
     originals = {tuple(row) for row in data.features}
 
     tested: list[tuple] = []
-    for train, test in iter_cv_splits(
+    for _, train, test in split_units(
         data,
         k=5,
         seed=3,

@@ -1,6 +1,6 @@
-"""The malformed-input contract, by generation: every config and schema file
-ends ``chdml run`` with exit 0, 2, 3 or 4, a failure with one stderr line,
-and no warning or exception."""
+"""The malformed-input contract, by generation: every config, schema file
+and command-line flag ends ``chdml run`` with exit 0, 2, 3 or 4, a failure
+with one stderr line, and no warning or exception."""
 
 import contextlib
 import io
@@ -15,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chdml.cli import main
+from chdml.eval import SmoteMode
 from chdml.ingest import FRAMINGHAM
 from chdml.models.base import ALGORITHMS, DEFAULT_HYPERPARAMETERS, HYPERPARAMETER_BOUNDS
 
@@ -91,6 +92,19 @@ FIELDS = {
 }
 
 
+#: Flag values argparse accepts, so each reaches ``chdml``'s own checks.  A
+#: value argparse refuses (a ``--seed`` that is not an integer, a ``--mode``
+#: outside its choices) is not drawn: argparse ends such a run with exit 2
+#: and its usage text, which is more than one line.
+FLAGS = {
+    "--seed": st.sampled_from(["0", "7", str(2**64), "-1"]),
+    "--mode": st.sampled_from([m.value for m in SmoteMode]),
+    "--input": st.sampled_from([FIXTURE, str(DATA), str(DATA / "absent.csv"), ""]),
+    # as for output_dir
+    "--output": st.sampled_from([os.path.join(FIXTURE, "out"), ""]),
+}
+
+
 @st.composite
 def schema_doc(draw):
     """The built-in schema as JSON with up to two entries changed (a bad kind,
@@ -128,13 +142,15 @@ def schema_doc(draw):
     algorithms=st.lists(algorithm_entry(), min_size=1, max_size=2),
     fields=st.lists(st.sampled_from([*FIELDS, "schema_path"]), max_size=2, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: FIELDS.get(k, schema_doc()) for k in keys})),
+    flags=st.lists(st.sampled_from(list(FLAGS)), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: FLAGS[k] for k in keys})),
 )
-def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields):
+def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields, flags):
     """One in-process ``chdml run`` on the 60-row fixture with ``cv_k`` 2: the
-    algorithms and up to two more fields are drawn, a drawn ``schema_path``
-    being the file's content.  ``n_trees`` is drawn at most 3 and
-    ``max_iter`` at most 50: their work grows with the value and has no upper
-    bound by design.  ``-v`` is never drawn, as logging handlers persist
+    algorithms, up to two more fields and up to two flags are drawn, a drawn
+    ``schema_path`` being the file's content.  ``n_trees`` is drawn at most 3
+    and ``max_iter`` at most 50: their work grows with the value and has no
+    upper bound by design.  ``-v`` is never drawn, as logging handlers persist
     across ``main`` calls."""
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"input_path": FIXTURE, "output_dir": os.path.join(tmp, "out"), "cv_k": 2,
@@ -152,7 +168,8 @@ def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields):
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
-                code = main(["run", "--config", str(config)])
+                code = main(["run", "--config", str(config),
+                             *(part for flag in flags.items() for part in flag)])
         finally:
             os.chdir(cwd)
     event(f"exit {code}")

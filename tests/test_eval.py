@@ -1,6 +1,7 @@
 """ROC analysis, stratified splitting, cross-validation, grid search."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -14,15 +15,17 @@ from chdml.eval import (
     cross_validate,
     grid_search,
     holdout_evaluate,
-    iter_cv_splits,
     roc_auc,
     score_folds,
+    score_unit,
+    split_units,
     stratified_kfold,
     stratified_split,
 )
 from chdml.models import ClassifierSpec
 from chdml.preprocess import Dataset
-from chdml.resample import SmoteParams
+from chdml.resample import SmoteParams, smote
+from chdml.rng import child_seed
 
 
 class TestRocAuc:
@@ -237,24 +240,39 @@ class TestLeakageFreeSplits:
     def test_test_folds_contain_no_synthetic_rows(self):
         data = two_blobs(n0=40, n1=15, seed=4)
         originals = {tuple(row) for row in data.features}
-        for train, test in iter_cv_splits(
+        units = []
+        for unit, train, test in split_units(
             data,
             k=5,
             seed=0,
             mode=SmoteMode.LEAKAGE_FREE,
             smote_params=SmoteParams(k_neighbors=3, seed=0),
+            test_fraction=0.25,
         ):
+            units.append(unit)
             for row in test.features:
                 assert tuple(row) in originals
             # train side grew by synthetic minority rows
             assert train.class_counts()[0] == train.class_counts()[1]
+        assert units == [0, 1, 2, 3, 4, None]
 
     def test_plain_mode_never_resamples(self):
         data = two_blobs(n0=40, n1=15)
-        for train, test in iter_cv_splits(
+        for _, train, test in split_units(
             data, k=5, seed=0, mode=SmoteMode.NONE, smote_params=None
         ):
             assert train.n_rows + test.n_rows == data.n_rows
+
+    def test_each_training_side_is_resampled_with_its_units_seed(self):
+        data = two_blobs(n0=40, n1=15, seed=4)
+        params = SmoteParams(k_neighbors=3, seed=9)
+        leaky = split_units(data, 3, 1, SmoteMode.LEAKAGE_FREE, params, test_fraction=0.25)
+        plain = split_units(data, 3, 1, SmoteMode.NONE, params, test_fraction=0.25)
+        for (unit, train, test), (_, plain_train, plain_test) in zip(leaky, plain, strict=True):
+            seed = params.seed if unit is None else child_seed(params.seed, unit)
+            expected = smote(plain_train, dataclasses.replace(params, seed=seed))
+            np.testing.assert_array_equal(train.features, expected.features)
+            np.testing.assert_array_equal(test.features, plain_test.features)
 
 
 class TestHoldout:
@@ -307,6 +325,42 @@ class TestScoreFolds:
             alone = cross_validate(spec, data, 5, 6, mode, params)
             auc = holdout_evaluate(spec, data, 6, mode, params, test_fraction=0.25)
             assert summary.to_doc() == dataclasses.replace(alone, holdout_auc=auc).to_doc()
+
+    @pytest.mark.parametrize("mode", list(SmoteMode), ids=lambda m: m.value)
+    def test_units_scored_in_reverse_order_match(self, mode):
+        """``score_unit`` depends only on its arguments, so the units can be
+        scored in any order (or in other processes) for the same results."""
+        data = two_blobs(n0=40, n1=15, seed=5)
+        params = SmoteParams(k_neighbors=3, seed=1)
+        specs = [
+            ClassifierSpec("LR", {"max_iter": 50}, seed=3),
+            ClassifierSpec("RF", {"n_trees": 3}, seed=4),
+        ]
+        units = list(split_units(data, 4, 6, mode, params, test_fraction=0.25))
+        results = {unit: score_unit(specs, unit, train, test)
+                   for unit, train, test in reversed(units)}
+        summaries = score_folds(specs, data, 4, 6, mode, params, test_fraction=0.25)
+        for i, summary in enumerate(summaries):
+            folds = [results[f][i] for f in range(4)]
+            assert [auc for auc, _, _ in folds] == list(summary.fold_aucs)
+            assert [acc for _, acc, _ in folds] == list(summary.fold_accuracies)
+            assert [flag for _, _, flag in folds] == list(summary.fold_converged)
+            assert results[None][i][0] == summary.holdout_auc
+
+    def test_arguments_and_result_survive_pickle(self):
+        data = two_blobs(n0=40, n1=15, seed=5)
+        specs = [ClassifierSpec("SVM", seed=2), ClassifierSpec("NB")]
+        units = split_units(data, 4, 0, SmoteMode.LEAKAGE_FREE, SmoteParams(k_neighbors=3))
+        args = (specs, *next(units))
+        copied = pickle.loads(pickle.dumps(args))
+        assert copied[:2] == args[:2]
+        for ours, theirs in zip(args[2:], copied[2:]):
+            np.testing.assert_array_equal(ours.features, theirs.features)
+            np.testing.assert_array_equal(ours.labels, theirs.labels)
+        result = score_unit(*args)
+        assert score_unit(*copied) == result
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert all(type(v) in (float, bool) for row in result for v in row)
 
     @pytest.mark.parametrize(
         "algorithms, per_pair",
