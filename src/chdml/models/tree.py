@@ -11,9 +11,13 @@ is reached.  Leaves score the positive fraction of their training rows.
 A tree is grown from one argsort per feature: each node holds its rows in
 every feature's sorted order, a split partitions them with a stable mask,
 and all cuts of all candidate features of a node are scored in one
-vectorized pass.  The Gini sums, their int64 counts and the float
-operations are those of a per-feature scan, so the trees, their node
-order and the draws of the feature generator do not depend on this layout.
+vectorized pass.  The argsort need not be stable: a cut between equal
+values is never valid, so in any order of tied values each valid cut has
+the same rows on each side, the same label counts and the same threshold,
+and the tree does not depend on that order.  The Gini sums, their int64
+counts and the float operations are those of a per-feature scan, so the
+trees, their node order and the draws of the feature generator do not
+depend on this layout.
 
 Two shortcuts cut the fixed cost of a node and keep every tree the same
 bit for bit.  In a node of at most 512 rows, a child's weighted impurity
@@ -196,7 +200,7 @@ def build_tree(
     """
     n, d = X.shape
     Xt = np.ascontiguousarray(X.T)
-    orders = np.argsort(Xt, axis=1, kind="stable")
+    orders = np.argsort(Xt, axis=1)
     goes_left = np.zeros(n, dtype=bool)
     subsets = None
     if rng is not None and mtry is not None and mtry < d:

@@ -29,10 +29,11 @@ __all__ = [
     "take_rows",
 ]
 
-#: Most values the difference block of one distance chunk holds; bounds memory.
-#: At 8 MB a block stays small next to the rest of a run's heap, so where the
-#: allocator places it (a reused hole or a fresh mapping) barely moves the peak.
-_DISTANCE_CHUNK = 1_000_000
+#: Most values the difference block of one distance chunk holds: 125,000
+#: float64s, 1 MB.  The block is d times the distances it yields, and at 8 MB
+#: it set ``paper-default``'s memory peak; over caps of 8, 4, 2, 1 and 0.5 MB
+#: that peak fell until 1 MB and then held, so 1 MB is the knee.
+_DISTANCE_CHUNK = 125_000
 
 
 @dataclass(frozen=True)
@@ -246,14 +247,21 @@ def sq_distance_chunks(
 
     Computed from literal coordinate differences (no norm expansion), so
     exact ties stay exact.  A chunk has at least one row and a difference
-    block of at most ``_DISTANCE_CHUNK`` values, so callers that consume
-    chunks one by one use bounded memory; the values do not depend on the
-    chunk size.
+    block of at most ``_DISTANCE_CHUNK`` values (1 MB, d times the
+    distances it yields), so callers that consume chunks one by one use
+    bounded memory; the values do not depend on the chunk size.  The block
+    holds the a - b of ``A[rows, None] - B[None]``, in the same C order, but
+    is built by repeating each row of ``A`` and subtracting ``B`` in place,
+    so numpy's inner loop runs over all of ``B`` rather than over one row's
+    d features.
     """
-    chunk = max(1, _DISTANCE_CHUNK // max(1, B.shape[0] * B.shape[1]))
+    n, d = B.shape
+    chunk = max(1, _DISTANCE_CHUNK // max(1, n * d))
     for start in range(0, A.shape[0], chunk):
         rows = slice(start, start + chunk)
-        diff = A[rows, None, :] - B[None, :, :]
+        a_rows = A[rows]
+        diff = np.repeat(a_rows, n, axis=0).reshape(len(a_rows), n, d)  # -1 fails when n is 0
+        np.subtract(diff, B, out=diff)
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         del diff  # else it lives on while the next chunk's block is allocated
         yield rows, d2

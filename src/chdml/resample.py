@@ -5,7 +5,7 @@ their nearest minority neighbors until the class counts reach the target
 ratio.  Base rows are cycled round-robin in index order; per synthetic
 row, one neighbor is drawn uniformly from the base's k nearest and one
 gap u ~ U[0, 1) places the new point on the connecting segment.  All
-randomness comes from a single generator seeded by ``SmoteParams.seed``,
+randomness comes from a single generator, ``rng.generator(SmoteParams.seed)``,
 so equal seeds give byte-identical output.  :func:`smote_plan` states the
 count rule and every check made before a row is written, so a caller can
 learn the resampled counts without oversampling.
@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_integer
 from .preprocess import Dataset, nearest_columns, sq_distance_chunks
+from .rng import generator
 
 __all__ = ["SmoteParams", "minority_neighbors", "smote_plan", "smote"]
 
@@ -119,7 +120,7 @@ def smote(dataset: Dataset, params: SmoteParams) -> Dataset:
     neighbors = minority_neighbors(X_min, params.k_neighbors)
     k_eff = neighbors.shape[1]
 
-    rng = np.random.default_rng(params.seed)
+    rng = generator(params.seed)
     synth = np.empty((n_new, dataset.n_features), dtype=np.float64)
     for t in range(n_new):
         base = t % n_min

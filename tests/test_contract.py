@@ -1,6 +1,6 @@
-"""The malformed-input contract, by generation: every config, schema file
-and command-line flag ends ``chdml run`` with exit 0, 2, 3 or 4, a failure
-with one stderr line, and no warning or exception."""
+"""The malformed-input contract, by generation: every subcommand, config,
+schema file and command-line flag ends ``chdml`` with exit 0, 2, 3 or 4, a
+failure with one stderr line, and no warning or exception."""
 
 import contextlib
 import io
@@ -139,19 +139,20 @@ def schema_doc(draw):
 
 @settings(max_examples=400)
 @given(
+    command=st.sampled_from(["run", "clean", "score-features", "evaluate"]),
     algorithms=st.lists(algorithm_entry(), min_size=1, max_size=2),
     fields=st.lists(st.sampled_from([*FIELDS, "schema_path"]), max_size=2, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: FIELDS.get(k, schema_doc()) for k in keys})),
     flags=st.lists(st.sampled_from(list(FLAGS)), max_size=2, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({k: FLAGS[k] for k in keys})),
 )
-def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields, flags):
-    """One in-process ``chdml run`` on the 60-row fixture with ``cv_k`` 2: the
-    algorithms, up to two more fields and up to two flags are drawn, a drawn
-    ``schema_path`` being the file's content.  ``n_trees`` is drawn at most 3
-    and ``max_iter`` at most 50: their work grows with the value and has no
-    upper bound by design.  ``-v`` is never drawn, as logging handlers persist
-    across ``main`` calls."""
+def test_any_config_ends_in_a_known_exit_with_one_line(command, algorithms, fields, flags):
+    """One in-process ``chdml`` call on the 60-row fixture with ``cv_k`` 2: the
+    subcommand, the algorithms, up to two more fields and up to two flags are
+    drawn, a drawn ``schema_path`` being the file's content.  ``n_trees`` is
+    drawn at most 3 and ``max_iter`` at most 50: their work grows with the
+    value and has no upper bound by design.  ``-v`` is never drawn, as
+    logging handlers persist across ``main`` calls."""
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"input_path": FIXTURE, "output_dir": os.path.join(tmp, "out"), "cv_k": 2,
                "algorithms": algorithms, **fields}
@@ -168,11 +169,11 @@ def test_any_config_ends_in_a_known_exit_with_one_line(algorithms, fields, flags
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 warnings.simplefilter("always")
-                code = main(["run", "--config", str(config),
+                code = main([command, "--config", str(config),
                              *(part for flag in flags.items() for part in flag)])
         finally:
             os.chdir(cwd)
-    event(f"exit {code}")
+    event(f"{command} exit {code}")
     assert code in (0, 2, 3, 4)
     assert not caught, [str(w.message) for w in caught]
     assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()

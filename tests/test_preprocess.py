@@ -12,6 +12,7 @@ import pytest
 import chdml
 from chdml import preprocess
 from chdml.errors import ConfigError, DataError
+from chdml.models import ClassifierSpec, fit
 from chdml.preprocess import (
     Dataset,
     iqr_outlier_mask,
@@ -169,14 +170,42 @@ def all_sq_distances(A, B):
 
 class TestSqDistanceChunks:
     def test_same_bits_for_every_chunk_size(self, monkeypatch):
+        """Each chunk size gives the bits of the literal broadcast and
+        einsum: on normal data, a change in the order a row's 15 squares are
+        summed shows in the last bits."""
         rng = np.random.default_rng(3)
-        A, B = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
-        whole = all_sq_distances(A, B)  # one chunk
-        # 1 (one row per chunk), 60 (3 rows: 7 is not a multiple), 120 (6 rows)
-        for budget, n_chunks in ((1, 7), (60, 3), (120, 2)):
+        A, B = rng.normal(size=(7, 15)), rng.normal(size=(5, 15))
+        D = A[:, None] - B[None]
+        literal = np.einsum("ijk,ijk->ij", D, D)
+        # 1 (one row per chunk), 225 (3 rows: 7 is not a multiple), the
+        # shipped cap (all rows in one chunk)
+        for budget, n_chunks in ((1, 7), (225, 3), (preprocess._DISTANCE_CHUNK, 1)):
             monkeypatch.setattr(preprocess, "_DISTANCE_CHUNK", budget)
             assert len(list(sq_distance_chunks(A, B))) == n_chunks
-            assert np.array_equal(all_sq_distances(A, B), whole)
+            assert all_sq_distances(A, B).tobytes() == literal.tobytes()
+
+    @pytest.mark.parametrize("budget, n_chunks", [(1, 3), (preprocess._DISTANCE_CHUNK, 1)])
+    def test_no_rows_in_b_gives_empty_blocks(self, monkeypatch, budget, n_chunks):
+        monkeypatch.setattr(preprocess, "_DISTANCE_CHUNK", budget)
+        A = np.ones((3, 4))
+        shapes = [d2.shape for _, d2 in sq_distance_chunks(A, np.empty((0, 4)))]
+        assert shapes == [(3 // n_chunks, 0)] * n_chunks
+
+    def test_knn_scoring_memory_at_the_shipped_cap(self):
+        """80 queries against 720 training rows of 15 features: at an 8 MB
+        cap all 80 share one 6.9 MB difference block; at 1 MB a block holds
+        11 queries."""
+        rng = np.random.default_rng(6)
+        train = Dataset(rng.normal(size=(720, 15)), rng.integers(0, 2, size=720))
+        model = fit(ClassifierSpec("KNN"), train)
+        queries = rng.normal(size=(80, 15))
+        tracemalloc.start()
+        try:
+            model.score_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_matches_per_pair_loop(self):
         rng = np.random.default_rng(4)

@@ -218,6 +218,24 @@ def test_forest_with_bootstrap_above_the_table_cap(monkeypatch):
         assert_same_tree(g, w)
 
 
+@pytest.mark.parametrize("n", [40, 300, 1500])
+@pytest.mark.parametrize("mtry", [None, 2])
+def test_same_tree_for_every_row_order(n, mtry):
+    """The presort is not stable, so tied values come out in an order that
+    depends on the rows' order; the tree must not.  Grown from the rows in
+    20 orders, tie-heavy data gives one tree, byte for byte."""
+    X, y = cohort("ties", n=n)
+    order = np.random.default_rng(n)
+
+    def grow(rows):
+        rng = None if mtry is None else np.random.default_rng(9)
+        return tree.build_tree(X[rows], y[rows], rng=rng, mtry=mtry)
+
+    want = grow(np.arange(n))
+    for _ in range(20):
+        assert_same_tree(grow(order.permutation(n)), want)
+
+
 @pytest.mark.parametrize("d", range(2, 16))
 def test_chunked_subsets_are_numpy_choice_draws(d):
     """Subset for subset, the draws of ``choice(d, mtry, replace=False)``;
