@@ -23,7 +23,6 @@ from .preprocess import Dataset
 
 __all__ = [
     "FeatureScores",
-    "SelectionResult",
     "discretize",
     "mutual_information",
     "score_features",
@@ -51,14 +50,6 @@ class FeatureScores:
             {"index": i, "name": n, "score": float(s)}
             for i, (n, s) in enumerate(zip(self.names, self.scores))
         ]
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Indices of the retained predictors, best first."""
-
-    selected: tuple[int, ...]
-    k: int
 
 
 def discretize(values: Sequence[float], bins: int) -> np.ndarray:
@@ -153,10 +144,11 @@ def score_features(
     return FeatureScores(scores=tuple(scores), names=tuple(dataset.feature_names))
 
 
-def select_k_best(scores: FeatureScores, k: int) -> SelectionResult:
-    """Top-k predictor indices by descending score, ties by ascending index."""
+def select_k_best(scores: FeatureScores, k: int) -> tuple[int, ...]:
+    """Top-k predictor indices, best first: by descending score, ties by
+    ascending index."""
     d = len(scores.scores)
     if not 1 <= k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {k}")
     order = sorted(range(d), key=lambda i: (-scores.scores[i], i))
-    return SelectionResult(selected=tuple(order[:k]), k=k)
+    return tuple(order[:k])

@@ -56,7 +56,7 @@ __all__ = [
     "Schema",
     "FRAMINGHAM",
     "CohortTable",
-    "MissingReport",
+    "CellCounts",
     "load_csv",
     "write_csv",
     "schema_from_json",
@@ -234,19 +234,25 @@ class CohortTable:
 
 
 @dataclass(frozen=True)
-class MissingReport:
-    """Per-column count of absent cells."""
+class CellCounts:
+    """Per-column count of cells one cleaning step found: absent cells
+    (``method`` "missing") or cells an outlier rule flagged.
 
-    counts: Mapping[str, int]
+    ``total`` counts cells, not rows: a row counted in two columns
+    contributes twice, exactly as per-column tallies add up.
+    """
+
+    method: str
+    columns: Mapping[str, int]
 
     @property
     def total(self) -> int:
-        return int(sum(self.counts.values()))
+        return int(sum(self.columns.values()))
 
     def to_doc(self) -> dict[str, Any]:
         return {
-            "method": "missing",
-            "columns": {k: int(v) for k, v in self.counts.items()},
+            "method": self.method,
+            "columns": {k: int(v) for k, v in self.columns.items()},
             "total": self.total,
         }
 
@@ -578,12 +584,12 @@ def schema_from_json(path: str) -> Schema:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def missing_report(table: CohortTable) -> MissingReport:
+def missing_report(table: CohortTable) -> CellCounts:
     """Count absent cells per column."""
     counts = {
         name: int(np.isnan(table.columns[name]).sum()) for name in table.schema.names
     }
-    return MissingReport(counts)
+    return CellCounts("missing", counts)
 
 
 def class_balance(table: CohortTable) -> tuple[int, int]:

@@ -33,11 +33,11 @@ from .eval import EvalSummary, SmoteMode, score_folds
 # perfbench/spans.py wraps these by their names in this module (see cli.py);
 # nothing here calls them.
 from .eval import cross_validate, holdout_evaluate, smote  # noqa: F401
-from .features import FeatureScores, SelectionResult, score_features, select_k_best
+from .features import FeatureScores, score_features, select_k_best
 from .ingest import (
     FRAMINGHAM,
+    CellCounts,
     CohortTable,
-    MissingReport,
     Schema,
     class_balance,
     load_csv,
@@ -49,7 +49,6 @@ from .models import ALGORITHMS, ClassifierSpec
 from .preprocess import (
     Dataset,
     check_columns,
-    OutlierReport,
     drop_rows_missing,
     feature_kinds,
     impute_mean,
@@ -229,7 +228,7 @@ class RunReport:
     cohort: CleanedCohort
     class_balance_resampled: tuple[int, int] | None
     feature_scores: FeatureScores
-    selection: SelectionResult
+    selection: tuple[int, ...]                   # kept predictor indices, best first
     cv: dict[str, dict[str, EvalSummary]]        # arm -> algorithm -> summary
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -253,8 +252,8 @@ class RunReport:
             "outliers": cohort.outliers.to_doc(),
             "feature_scores": self.feature_scores.to_doc(),
             "selection": {
-                "k": self.selection.k,
-                "selected": list(self.selection.selected),
+                "k": len(self.selection),
+                "selected": list(self.selection),
             },
             "cv": {
                 arm: {algo: summary.to_doc() for algo, summary in by_algo.items()}
@@ -295,8 +294,8 @@ class CleanedCohort:
     table: CohortTable
     rows_loaded: int
     rows_after_drop: int
-    missing: MissingReport
-    outliers: OutlierReport
+    missing: CellCounts
+    outliers: CellCounts
     balance_raw: tuple[int, int]
     balance_clean: tuple[int, int]
 
@@ -326,15 +325,15 @@ def clean_stage(config: PipelineConfig) -> CleanedCohort:
 
 def feature_stage(
     config: PipelineConfig, cleaned: CohortTable
-) -> tuple[Dataset, FeatureScores, SelectionResult]:
+) -> tuple[Dataset, FeatureScores, tuple[int, ...]]:
     """Score every predictor; return the dataset cut to the ``select_k``
     best, all scores, and the selection."""
     dataset = to_dataset(cleaned)
     scores = score_features(dataset, bins=config.mi_bins, kinds=feature_kinds(cleaned))
     k = config.select_k if config.select_k is not None else dataset.n_features
     selection = select_k_best(scores, k)
-    if len(selection.selected) < dataset.n_features:
-        dataset = select_features(dataset, selection.selected)
+    if len(selection) < dataset.n_features:
+        dataset = select_features(dataset, selection)
     return dataset, scores, selection
 
 

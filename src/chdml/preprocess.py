@@ -8,15 +8,14 @@ squared-distance kernel shared by SMOTE, KNN and the SVM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import CohortTable, FeatureKind, Schema
+from .ingest import CellCounts, CohortTable, FeatureKind, Schema
 
 __all__ = [
-    "OutlierReport",
     "Dataset",
     "impute_mean",
     "drop_rows_missing",
@@ -34,26 +33,6 @@ __all__ = [
 #: it set ``paper-default``'s memory peak; over caps of 8, 4, 2, 1 and 0.5 MB
 #: that peak fell until 1 MB and then held, so 1 MB is the knee.
 _DISTANCE_CHUNK = 125_000
-
-
-@dataclass(frozen=True)
-class OutlierReport:
-    """Flagged-cell counts per column for one detection method.
-
-    ``total`` counts flagged cells, not rows: a row flagged in two columns
-    contributes twice, exactly as per-column tallies add up.
-    """
-
-    method: str
-    columns: Mapping[str, int]
-    total: int
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "columns": {k: int(v) for k, v in self.columns.items()},
-            "total": int(self.total),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +177,7 @@ def normalize_method(method: str) -> str:
 
 def remove_outliers(
     table: CohortTable, method: str, columns: Sequence[str]
-) -> tuple[CohortTable, OutlierReport]:
+) -> tuple[CohortTable, CellCounts]:
     """Drop rows containing flagged cells in the named columns.
 
     All masks are computed from the table as given (a single pass with
@@ -214,9 +193,8 @@ def remove_outliers(
         mask = mask_fn(table.columns[name])
         counts[name] = int(mask.sum())
         bad |= mask
-    report = OutlierReport(method=method, columns=counts, total=sum(counts.values()))
     cleaned = table.take_rows(~bad) if bad.any() else table
-    return cleaned, report
+    return cleaned, CellCounts(method, counts)
 
 
 def standardize(train: Dataset, apply_to: Dataset) -> Dataset:

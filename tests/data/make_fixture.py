@@ -94,8 +94,8 @@ def main() -> None:
 
     table = chdml.load_csv(str(out))
     report = chdml.missing_report(table)
-    assert report.counts["education"] == 2 and report.counts["BPMeds"] == 1
-    assert report.counts["glucose"] == 2 and report.counts["TenYearCHD"] == 0
+    assert report.columns["education"] == 2 and report.columns["BPMeds"] == 1
+    assert report.columns["glucose"] == 2 and report.columns["TenYearCHD"] == 0
     assert chdml.class_balance(table) == (40, 20)
     dropped = chdml.drop_rows_missing(table, ["BPMeds", "education"])
     assert dropped.row_count == 57

@@ -469,9 +469,9 @@ def test_c10_missing_counts(cohort_raw):
         "BMI": 19, "heartRate": 1, "glucose": 388, "TenYearCHD": 0,
     }
     for column, count in expected.items():
-        assert report.counts[column] == count, column
-    for column in set(report.counts) - set(expected):
-        assert report.counts[column] == 0, column
+        assert report.columns[column] == count, column
+    for column in set(report.columns) - set(expected):
+        assert report.columns[column] == 0, column
 
 
 @requires_data

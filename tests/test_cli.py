@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in-process through main()."""
 
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from chdml.cli import main
+from chdml.pipeline import PipelineConfig, clean_stage, feature_stage, run_pipeline
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "fixture.csv")
 NESTED = b"[" * 200_000 + b"]" * 200_000  # too deep for the json module
+HEADER = Path(FIXTURE).read_bytes().partition(b"\n")[0] + b"\n"
 
 
 def with_config(tmp_path, **overrides):
@@ -50,6 +53,31 @@ class TestClean:
         main(["clean", "--input", FIXTURE, "--output", str(tmp_path / "o")])
         printed = capsys.readouterr().out
         assert "56" in printed
+
+
+    def test_report_bytes_of_the_shipped_fixture_config(self, tmp_path, monkeypatch):
+        """The cell-count reports and the selection keep these bytes."""
+        monkeypatch.chdir(DATA.parent.parent)
+        config_path = "tests/data/fixture_config.json"
+        out = tmp_path / "clean"
+        assert main(["clean", "--config", config_path, "--output", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("missing_report.json", "outlier_report.json")
+        }
+        assert digests == {
+            "missing_report.json":
+                "f980697ec37d8ff8398a4a74213a5718cf8ad513dc021ee21a9b485e126ceb2b",
+            "outlier_report.json":
+                "2c9c76b03862335bcfd22140a89171742131cae826c83e626adf4ce761ebf8eb",
+        }
+        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        doc.update(select_k=5, output_dir=str(tmp_path / "run"))
+        config = PipelineConfig.from_dict(doc)
+        assert feature_stage(config, clean_stage(config).table)[2] == (1, 14, 2, 13, 12)
+        run_pipeline(config)
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        assert report["selection"] == {"k": 5, "selected": [1, 14, 2, 13, 12]}
 
 
 class TestScoreFeatures:
@@ -459,31 +487,39 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "kind, payload, code",
+        "kind, payload, code, message",
         [
-            ("csv", b"1,fifty,", 3),
-            ("csv", b"1,50,7,", 3),
-            ("csv", b"1,5\xff,", 3),
-            ("csv", b"1," + b"5" * 200_000 + b",", 3),
-            ("config", NESTED, 2),
-            ("schema", NESTED, 2),
+            ("csv", b"1,fifty,", 3, "column 'age': cannot parse 'fifty'"),
+            ("csv", b"1,50,7,", 3, ": row 1 has 17 fields, expected 16"),
+            ("csv", b"1,5\xff,", 3, ": not UTF-8 text ("),
+            ("csv", b"1," + b"5" * 200_000 + b",", 3, ": row 1: field larger than field limit"),
+            ("config", NESTED, 2, ": not valid JSON ("),
+            ("schema", NESTED, 2, ": not valid JSON ("),
+            ("csv-file", b"", 3, ": file is empty (no header row)"),
+            ("csv-file", HEADER, 3, "sigma rule needs at least 2 values"),
+            ("config", b"[]", 2, ": config must be a JSON object"),
         ],
         ids=["bad-cell", "field-count", "not-utf8", "over-long-field", "nested-config",
-             "nested-schema"],
+             "nested-schema", "empty-csv", "header-only-csv", "config-not-an-object"],
     )
-    def test_malformed_file_is_one_line(self, tmp_path, capsys, kind, payload, code):
+    def test_malformed_file_is_one_line(
+        self, tmp_path, capsys, kind, payload, code, message
+    ):
         """``payload`` replaces the fixture's ``1,50,`` (kind "csv") or is the
-        whole config or schema file."""
+        whole CSV, config or schema file."""
         bad = tmp_path / "bad"
         if kind == "csv":
             bad.write_bytes(Path(FIXTURE).read_bytes().replace(b"\n1,50,", b"\n" + payload, 1))
-            config = with_config(tmp_path, input_path=str(bad))
         else:
             bad.write_bytes(payload)
+        if kind in ("csv", "csv-file"):
+            config = with_config(tmp_path, input_path=str(bad))
+        else:
             config = str(bad) if kind == "config" else with_config(tmp_path, schema_path=str(bad))
         assert main(["clean", "--config", config, "--output", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert err.startswith("data error: " if code == 3 else f"configuration error: {bad}: ")
+        assert message in err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 

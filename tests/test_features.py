@@ -219,11 +219,11 @@ def scored(*values):
 class TestSelectKBest:
     def test_tie_prefers_lower_index(self):
         result = select_k_best(scored(0.3, 0.1, 0.3), k=2)
-        assert result.selected == (0, 2)
+        assert result == (0, 2)
 
     def test_orders_by_score(self):
         result = select_k_best(scored(0.1, 0.9, 0.5), k=2)
-        assert result.selected == (1, 2)
+        assert result == (1, 2)
 
     def test_k_bounds(self):
         with pytest.raises(ConfigError, match=r"k must be in \[1, 2\], got 0"):
@@ -233,7 +233,7 @@ class TestSelectKBest:
 
     def test_select_all_keeps_every_index(self):
         result = select_k_best(scored(0.5, 0.1, 0.7), k=3)
-        assert sorted(result.selected) == [0, 1, 2]
+        assert sorted(result) == [0, 1, 2]
 
 
 def test_fixture_scores_are_finite(fixture_dataset):

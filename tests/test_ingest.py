@@ -922,8 +922,8 @@ class TestCohortTable:
 def test_missing_report_counts(tmp_path):
     table = chdml.load_csv(write(tmp_path, mini_csv([ROW_A, ROW_B, ROW_C])))
     report = chdml.missing_report(table)
-    assert report.counts["glucose"] == 1
-    assert report.counts["age"] == 0
+    assert report.columns["glucose"] == 1
+    assert report.columns["age"] == 0
     assert report.total == 1
     doc = report.to_doc()
     assert doc["method"] == "missing"
@@ -932,7 +932,7 @@ def test_missing_report_counts(tmp_path):
 
 def test_missing_report_on_fixture(fixture_table):
     report = chdml.missing_report(fixture_table)
-    assert report.counts == {
+    assert report.columns == {
         "sex": 0, "age": 0, "education": 2, "currentSmoker": 0,
         "cigsPerDay": 1, "BPMeds": 1, "prevalentStroke": 0, "prevalentHyp": 0,
         "diabetes": 0, "totChol": 1, "sysBP": 0, "diaBP": 0, "BMI": 1,

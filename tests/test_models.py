@@ -296,6 +296,17 @@ class TestSvm:
         for i in (0, 17, len(X) - 1, 0):
             assert np.array_equal(solver.kernel_row(i), np.exp(-gamma * d2[i]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gives_up_at_the_sweep_cap(self, seed):
+        # a tolerance of the smallest subnormal is never met, so SMO stops
+        # at its 10n-sweep cap and says so
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(80, 2))
+        y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
+        model = fit(ClassifierSpec("SVM", {"C": 10.0, "tol": 5e-324}), Dataset(X, y))
+        assert model.converged is False
+        assert np.isfinite(score_many(model, X)).all()
+
 
 class TestDispatch:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -259,7 +259,7 @@ class TestModes:
     def test_select_k_reduces_features(self, tmp_path):
         config = fast_config(tmp_path, select_k=5)
         report = run_pipeline(config)
-        assert len(report.selection.selected) == 5
+        assert len(report.selection) == 5
 
 
 class TestOnePassPerArm:

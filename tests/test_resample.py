@@ -139,15 +139,21 @@ class TestSmote:
             smote(Dataset(X, y), SmoteParams())
 
     def test_round_nominal(self):
-        X = np.array([[0.0], [0.0], [1.0], [1.0], [3.0], [3.0], [3.0], [3.0]])
-        y = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        # 2 positives against 6 negatives: smote adds 4 rows to round
+        X = np.array([[0.0], [1.0], [3.0], [3.0], [3.0], [3.0], [3.0], [3.0]])
+        y = np.array([1, 1, 0, 0, 0, 0, 0, 0])
         data = Dataset(X, y)
-        params = SmoteParams(
-            k_neighbors=2, seed=3, round_nominal=True, nominal_columns=(0,)
-        )
-        out = smote(data, params)
-        synth = out.features[8:]
-        assert np.array_equal(synth, np.rint(synth))
+
+        def synth(round_nominal):
+            params = SmoteParams(
+                k_neighbors=2, seed=3, round_nominal=round_nominal, nominal_columns=(0,)
+            )
+            return smote(data, params).features[8:, 0]
+
+        rounded, raw = synth(True), synth(False)
+        assert len(rounded) == 4
+        assert np.array_equal(rounded, np.rint(rounded))
+        assert not np.array_equal(rounded, raw)
 
     def test_round_nominal_index_out_of_range(self, monkeypatch):
         def no_neighbors(*args):
