@@ -778,7 +778,11 @@ class TestPlainBlocks:
             got = outcome(chdml.load_csv, str(path), FRAMINGHAM)
         assert got == outcome(ref_load_csv, str(path), FRAMINGHAM)
 
-    @pytest.mark.parametrize("cell", [" " * 200_000 + "44", "0." + "0" * 200_000])
+    @pytest.mark.parametrize(
+        "cell",
+        [" " * 200_000 + "44", "0." + "0" * 200_000],
+        ids=["spaces-then-digits", "long-fraction"],
+    )
     def test_over_long_field_that_numpy_reads_is_refused(self, tmp_path, cell):
         path = write(tmp_path, mini_csv([ROW_A, ROW_A.replace("44", cell, 1)]))
         limit = csv.field_size_limit()

@@ -1,8 +1,10 @@
 """The six classifiers: fitting, scoring, edge cases, serialization."""
 
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from chdml.models import (
     score_many,
     threshold_for,
 )
+from chdml.models import svm
 from chdml.models.linear import nll_gradient, nll_loss
 from chdml.models.svm import _Smo
 from chdml.preprocess import Dataset, sq_distance_chunks
@@ -45,6 +48,14 @@ def blobs(n_per=20, d=2, gap=3.0, seed=0):
         rng.normal(gap, 1.0, (n_per, d)),
     ])
     y = np.array([0] * n_per + [1] * n_per)
+    return Dataset(X, y)
+
+
+def noisy_line(seed):
+    """80 rows in 2-d whose label is the sign of x0 plus unit noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(80, 2))
+    y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
     return Dataset(X, y)
 
 
@@ -300,12 +311,47 @@ class TestSvm:
     def test_gives_up_at_the_sweep_cap(self, seed):
         # a tolerance of the smallest subnormal is never met, so SMO stops
         # at its 10n-sweep cap and says so
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(80, 2))
-        y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
-        model = fit(ClassifierSpec("SVM", {"C": 10.0, "tol": 5e-324}), Dataset(X, y))
+        data = noisy_line(seed)
+        model = fit(ClassifierSpec("SVM", {"C": 10.0, "tol": 5e-324}), data)
         assert model.converged is False
-        assert np.isfinite(score_many(model, X)).all()
+        assert np.isfinite(score_many(model, data.features)).all()
+
+    @pytest.mark.parametrize("n, capacity", [(4, 2), (1200, 400), (6000, 1333)])
+    def test_kernel_row_cache_holds_a_third_of_the_rows_within_the_byte_budget(
+        self, n, capacity
+    ):
+        # n // 3 rows, unless 64 MB holds fewer (n = 6000: 64e6 // 48000)
+        X = np.zeros((n, 2))
+        solver = _Smo(X, np.ones(n), C=1.0, gamma=1.0, tol=1e-3)
+        assert solver.kernel_row.cache_info().maxsize == capacity
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cache_capacity_never_changes_a_model(self, seed, monkeypatch):
+        data = noisy_line(seed)
+        default = fit(ClassifierSpec("SVM"), data)
+        monkeypatch.setattr(svm, "_CACHE_BYTES", 0)
+        solver = _Smo(data.features, np.ones(80), C=1.0, gamma=1.0, tol=1e-3)
+        assert solver.kernel_row.cache_info().maxsize == 2  # not the default 26
+        small = fit(ClassifierSpec("SVM"), data)
+        for field in dataclasses.fields(svm.SvmModel):
+            a, b = getattr(default, field.name), getattr(small, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
+    def test_memory_peak_is_under_half_the_gram_matrix(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(1200, 15))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=1200) > 1.0).astype(np.int64)
+        data = Dataset(X, y)
+        tracemalloc.start()
+        try:
+            fit(ClassifierSpec("SVM"), data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1200 * 1200 * 8 / 2
 
 
 class TestDispatch:
