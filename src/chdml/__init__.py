@@ -19,16 +19,7 @@ from .errors import ChdmlError, ConfigError, DataError
 from .eval import SmoteMode, cross_validate, grid_search
 from .features import score_features
 from .ingest import class_balance, load_csv, missing_report, write_csv
-from .models import (
-    ClassifierSpec,
-    fit,
-    load_model,
-    model_from_json,
-    model_to_json,
-    predict,
-    save_model,
-    score,
-)
+from .models import ClassifierSpec, fit
 from .pipeline import DEFAULT_CONFIG, PipelineConfig
 from .preprocess import drop_rows_missing, impute_mean, remove_outliers, to_dataset
 from .resample import SmoteParams
@@ -58,12 +49,6 @@ __all__ = [
     # models
     "ClassifierSpec",
     "fit",
-    "score",
-    "predict",
-    "model_to_json",
-    "model_from_json",
-    "save_model",
-    "load_model",
     # eval
     "SmoteMode",
     "cross_validate",

@@ -1,9 +1,8 @@
 """Shared classifier contract: specs, defaults, and the scoring interface.
 
 Every algorithm implements ``fit`` into a frozen dataclass exposing
-``score_many`` and ``n_features``; its fields are what a model file holds
-(see :mod:`chdml.models`, which checks the training set and the query
-width for every algorithm).  Five of the six
+``score_many`` and ``n_features`` (:mod:`chdml.models` checks the training
+set and the query width for every algorithm).  Five of the six
 produce probabilities in [0, 1] thresholded strictly above 0.5; the SVM
 produces an unbounded decision value thresholded strictly above 0.
 """
@@ -25,8 +24,6 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_HYPERPARAMETERS",
     "ClassifierSpec",
-    "Prediction",
-    "FORMAT_VERSION",
 ]
 
 ALGORITHMS = ("LR", "KNN", "CART", "NB", "SVM", "RF")
@@ -57,8 +54,6 @@ HYPERPARAMETER_BOUNDS: Mapping[str, tuple[str, float]] = {
     "min_samples_split": ("at least", 1), "max_depth": ("at least", 0),
     "mtry": ("at least", 0),
 }
-
-FORMAT_VERSION = 1
 
 
 def _as_default_type(default: float, value: float) -> float:
@@ -131,14 +126,6 @@ class ClassifierSpec:
         return cls(doc["algorithm"], hyperparameters, doc.get("seed", seed))
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A raw score plus the thresholded hard label."""
-
-    score: float
-    label: int
-
-
 def check_train(train: Dataset, require_both_classes: bool = True) -> None:
     if train.n_rows == 0:
         raise DataError("training data is empty")
@@ -146,15 +133,6 @@ def check_train(train: Dataset, require_both_classes: bool = True) -> None:
         n0, n1 = train.class_counts()
         if n0 == 0 or n1 == 0:
             raise DataError("training data contains a single class")
-
-
-def check_vector(x: np.ndarray, n_features: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != n_features:
-        raise DataError(
-            f"expected a vector of length {n_features}, got shape {arr.shape}"
-        )
-    return arr
 
 
 def check_matrix(X: np.ndarray, n_features: int) -> np.ndarray:

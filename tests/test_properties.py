@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chdml.eval import roc_auc, stratified_kfold
-from chdml.models import ClassifierSpec, fit, model_from_json, model_to_json, score_many
+from chdml.models import ClassifierSpec, fit, score_many
 from chdml.preprocess import Dataset, nearest_columns, sq_distance_chunks
 from chdml.resample import SmoteParams, minority_neighbors, smote
 
@@ -75,9 +75,23 @@ def test_tree_scores_are_probabilities(data, seed):
         model = fit(spec, data)
         scores = score_many(model, data.features + 0.5)
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
-        # every fitted tree passes the structure check a model file gets on load
-        text = model_to_json(model)
-        assert model_to_json(model_from_json(text)) == text
+        for tree in (model.tree,) if spec.algorithm == "CART" else model.trees:
+            assert_tree_layout(tree, data.n_features)
+
+
+def assert_tree_layout(tree, n_features):
+    """The layout that makes scoring end at a leaf: a leaf has no children and
+    a NaN threshold; a split has a finite threshold, a feature of the model
+    and both children numbered after it and before the end."""
+    ids = np.arange(tree.feature.size)
+    leaf = tree.feature == -1
+    assert (tree.left[leaf] == -1).all() and (tree.right[leaf] == -1).all()
+    assert np.isnan(tree.threshold[leaf]).all()
+    split = ~leaf
+    assert np.isfinite(tree.threshold[split]).all()
+    for child in (tree.left[split], tree.right[split]):
+        assert ((child > ids[split]) & (child < ids.size)).all()
+    assert ((tree.feature[split] >= 0) & (tree.feature[split] < n_features)).all()
 
 
 def stable_first(d2, k):
