@@ -348,7 +348,7 @@ class TestSvm:
 
 class TestDispatch:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_fit_and_score(self, algorithm):
+    def test_fit_score_predict(self, algorithm):
         data = blobs(seed=11)
         model = fit(ClassifierSpec(algorithm, seed=1), data)
         scores = score_many(model, data.features)
